@@ -14,6 +14,7 @@ from .core import export_pattern_graph, infer_causal_direction, report_text
 from .demo import demo_text
 from .errors import InputError
 from .seqcore import (
+    MAX_ALPHABET,
     RealSeries,
     SymbolSequence,
     binarize_equiwidth,
@@ -70,6 +71,8 @@ def _to_symbols(series: RealSeries, mode: str, other: RealSeries) -> SymbolSeque
     top = max(max(series.values), max(other.values))
     if top != int(top) or top < 0:
         raise InputError("--binarize none expects non-negative integers in both columns")
+    if top >= MAX_ALPHABET:
+        raise InputError(f"--binarize none supports symbols 0..{MAX_ALPHABET - 1}, got {int(top)}")
     return SymbolSequence(tuple(symbols), int(top) + 1)
 
 
@@ -126,9 +129,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _single_record(path: str):
+    records = load_fasta(path)
+    if len(records) != 1:
+        raise InputError(f"{path}: expected one FASTA record, found {len(records)}")
+    return records[0]
+
+
 def cmd_genomic(args) -> int:
-    rs = load_fasta(args.reference)[0]
-    cw = load_fasta(args.cw)[0]
+    rs = _single_record(args.reference)
+    cw = _single_record(args.cw)
     cand_dir = Path(args.candidates)
     if not cand_dir.is_dir():
         raise InputError(f"{cand_dir} is not a directory")

@@ -35,8 +35,10 @@ VERDICT_TOLERANCE = 1e-12
 #: Dictionary segments and extracted patterns are never shorter than this.
 MIN_PATTERN_LEN = 2
 
-#: Below this problem size the plain-Python run scan beats numpy call overhead.
-_SMALL_PAIR_OPS = 192
+#: Scratch budget of one vectorised step, in compared symbols: an extraction
+#: step compares ``_CHUNK // (w + 16)`` rows of w symbols, runs are merged
+#: ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8`` windows.
+_CHUNK = 1 << 16
 
 LABEL_XY = "X->Y"
 LABEL_YX = "Y->X"
@@ -121,92 +123,146 @@ def find_flip_positions(s: SymbolSequence) -> tuple[int, ...]:
     return tuple(int(k) for k in np.nonzero(arr[1:] != arr[:-1])[0] + 2)
 
 
-def _segment_spans(target_data: bytes) -> list[tuple[int, int]]:
-    """0-based [start, stop) spans of the source cut at flips of the target.
+def _block_ids(arr: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ids of the blocks ``arr[s : s + 2**k]`` for every ``2**k <= top``.
 
-    A flip whose segment would have length 1 is skipped without advancing the
-    start index; this keeps every segment at length >= 2 and makes consecutive
-    extracted segments cover disjoint ranges.
+    ``ids[k, s]`` is below ``bound[k] < 2**31``: the two half-block ids packed
+    into one integer while that fits, their dense rank beyond.
     """
-    spans: list[tuple[int, int]] = []
-    start = 0  # 0-based start of the pending segment
-    prev = target_data[0]
-    for k in range(1, len(target_data)):
-        cur = target_data[k]
-        if cur != prev:
-            if k + 1 - start >= MIN_PATTERN_LEN:
-                spans.append((start, k + 1))
-                start = k + 1
-        prev = cur
-    return spans
+    n = len(arr)
+    ids = np.zeros((top.bit_length(), n), dtype=np.int32)
+    ids[0] = arr
+    bound = [int(arr.max()) + 1]
+    for k in range(1, len(ids)):
+        half = 1 << (k - 1)
+        pair = np.multiply(ids[k - 1, : n - 2 * half + 1], bound[-1], dtype=np.int64)
+        pair += ids[k - 1, half : n - half + 1]
+        if bound[-1] ** 2 < 1 << 31:
+            bound.append(bound[-1] ** 2)
+        else:
+            order = np.argsort(pair, kind="stable")
+            ranked = pair[order]
+            np.cumsum(ranked[1:] != ranked[:-1], out=ranked[1:])
+            ranked[0] = 0
+            pair[order] = ranked
+            bound.append(int(ranked[-1]) + 1)
+        ids[k, : len(pair)] = pair
+    return ids, np.array(bound, dtype=np.int64)
+
+
+def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.ndarray:
+    """Exact key of each block ``arr[s : s + L]`` among blocks of length L.
+
+    It pairs the ids of the two ``2**k``-blocks, ``2**k <= L < 2**(k+1)``, at its ends."""
+    k = np.searchsorted(1 << np.arange(len(ids)), lengths, side="right") - 1
+    return ids[k, starts] * bound[k] + ids[k, starts + lengths - (1 << k)]
+
+
+def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Index of the first entry, by rank and then position, of each content, in that order."""
+    idx = np.lexsort((rank, keys, lengths))
+    lengths, keys = lengths[idx], keys[idx]
+    head = np.ones(len(idx), dtype=bool)
+    head[1:] = (lengths[1:] != lengths[:-1]) | (keys[1:] != keys[:-1])
+    first = np.sort(idx[head])
+    return first[np.argsort(rank[first], kind="stable")]
 
 
 def build_flip_dictionary(
     source: SymbolSequence, target: SymbolSequence, direction: str = LABEL_XY
 ) -> FlipDictionary:
-    """Collect deduplicated source segments ending at each flip of the target."""
+    """Collect deduplicated source segments ending at each flip of the target.
+
+    A flip whose segment would have length 1 is skipped without advancing the
+    segment start, so segments have length >= 2 and cover disjoint ranges:
+    within each run of consecutive flips, those at even offsets cut.
+    """
     if len(source) != len(target):
         raise ValueError("source and target must have equal length")
     if len(source) < 2:
         raise ValueError("dictionary construction needs length >= 2")
-    seen: set[bytes] = set()
-    segments: list[SymbolSequence] = []
-    for start, stop in _segment_spans(target.data):
-        frag = source.data[start:stop]
-        if frag not in seen:
-            seen.add(frag)
-            segments.append(source.fragment(start, stop))
-    return FlipDictionary(direction, tuple(segments))
+    tgt = np.frombuffer(target.data, dtype=np.uint8)
+    flips = np.flatnonzero(tgt[1:] != tgt[:-1]) + 1  # 0-based index of the changed symbol
+    index = np.arange(len(flips))
+    run_first = np.maximum.accumulate(np.where(np.diff(flips, prepend=-1) != 1, index, 0))
+    stops = flips[(index - run_first) % 2 == 0] + 1
+    if len(stops) == 0:
+        return FlipDictionary(direction, ())
+    lengths = np.diff(stops, prepend=0)
+    starts = stops - lengths
+    ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(lengths.max()))
+    keys = _content_keys(ids, bound, starts, lengths)
+    keep = _first_by_content(lengths, keys, np.zeros_like(lengths))
+    spans = zip(starts[keep].tolist(), stops[keep].tolist())
+    return FlipDictionary(direction, tuple(source.fragment(a, b) for a, b in spans))
 
 
-def _common_runs_small(b1: bytes, b2: bytes, out: list[bytes]) -> None:
-    n1, n2 = len(b1), len(b2)
-    for d in range(n2 - n1 + 1):
-        run = 0
-        for t in range(n1):
-            if b1[t] == b2[d + t]:
-                run += 1
-            else:
-                if run >= MIN_PATTERN_LEN:
-                    out.append(b2[d + t - run : d + t])
-                run = 0
-        if run >= MIN_PATTERN_LEN:
-            out.append(b2[d + n1 - run : d + n1])
+def _agreement_runs(data: bytes, lengths: np.ndarray, longest: int):
+    """Yield batches of (length, pair, start) rows, one per agreement run.
 
-
-def _common_runs_vector(b1: bytes, b2: bytes, out: list[bytes]) -> None:
-    n1 = len(b1)
-    a1 = np.frombuffer(b1, dtype=np.uint8)
-    a2 = np.frombuffer(b2, dtype=np.uint8)
-    eq = sliding_window_view(a2, n1) == a1
-    padded = np.zeros((eq.shape[0], n1 + 2), dtype=bool)
-    padded[:, 1:-1] = eq
-    steps = np.diff(padded.view(np.int8), axis=1)
-    rows, starts = np.nonzero(steps == 1)
-    ends = np.nonzero(steps == -1)[1]
-    # starts/ends alternate within each row, so row-major order pairs them up
-    lengths = ends - starts
-    for row, a, length in zip(rows.tolist(), starts.tolist(), lengths.tolist()):
-        if length >= MIN_PATTERN_LEN:
-            out.append(b2[row + a : row + a + length])
-
-
-def _common_run_fragments(b1: bytes, b2: bytes) -> list[bytes]:
-    """Maximal agreement runs (length >= 2) over all full-overlap offsets.
-
-    Only the matched symbols are ever extracted, so swapping the arguments
-    yields the same fragment set; callers need one pass per unordered pair.
+    For each segment pair i < j (``pair`` = i * count + j) the shorter segment,
+    the earlier on a tie, slides over the longer at every full-overlap offset;
+    every maximal agreement run of length >= 2 is located by ``start`` in
+    ``data``. Rows (pair, offset) are grouped by the shorter length w and
+    compared a chunk at a time. A pair's runs come out in extraction order.
     """
-    if len(b1) > len(b2):
-        b1, b2 = b2, b1
-    out: list[bytes] = []
-    if len(b1) < MIN_PATTERN_LEN:
-        return out
-    if len(b1) * (len(b2) - len(b1) + 1) <= _SMALL_PAIR_OPS:
-        _common_runs_small(b1, b2, out)
-    else:
-        _common_runs_vector(b1, b2, out)
-    return out
+    count = len(lengths)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    by_length = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[by_length]
+    windows = sliding_window_view(np.frombuffer(data + bytes(longest), dtype=np.uint8), longest)
+    pending: list[np.ndarray] = []
+    found = 0
+    group = int(np.searchsorted(sorted_lengths, MIN_PATTERN_LEN))
+    while group < count - 1:
+        w = int(sorted_lengths[group])
+        end = int(np.searchsorted(sorted_lengths, w, side="right"))
+        # the rows of each short u in [group, end) are the w-windows of every later v > u
+        window_ends = np.concatenate(([0], np.cumsum(sorted_lengths[group + 1 :] - w + 1)))
+        row_ends = np.concatenate(([0], np.cumsum(window_ends[-1] - window_ends[: end - group])))
+        step = max(1, _CHUNK // (w + 16))
+        for first in range(0, int(row_ends[-1]), step):
+            row = np.arange(first, min(first + step, int(row_ends[-1])))
+            u = np.searchsorted(row_ends, row, side="right") - 1
+            win = window_ends[u] + row - row_ends[u]
+            v = np.searchsorted(window_ends, win, side="right") - 1
+            short, long = by_length[group + u], by_length[group + 1 + v]
+            at = offsets[long] + win - window_ends[v]
+            agree = np.zeros((len(row), w + 2), dtype=bool)  # padded: every run starts and ends
+            agree[:, 1:-1] = windows[offsets[short], :w] == windows[at, :w]
+            edges = np.flatnonzero(agree[:, 1:] != agree[:, :-1])  # run starts and ends alternate
+            size = edges[1::2] - edges[::2]
+            run = size >= MIN_PATTERN_LEN
+            hits, begin = np.divmod(edges[::2][run], w + 1)
+            pair = np.minimum(short, long)[hits] * count + np.maximum(short, long)[hits]
+            pending.append(np.stack((size[run], pair, at[hits] + begin)))
+            found += len(hits)
+            if found >= _CHUNK // 32:
+                yield np.concatenate(pending, axis=1)
+                pending, found = [], 0
+        group = end
+    if pending:
+        yield np.concatenate(pending, axis=1)
+
+
+def _pattern_bytes(segment_data: list[bytes]) -> list[bytes]:
+    """Common runs of every segment pair, deduplicated in first-extraction order.
+
+    Each batch of runs is merged into a table of first occurrences by content;
+    a stable sort by pair keeps the table in extraction order.
+    """
+    data = b"".join(segment_data)
+    lengths = np.array([len(s) for s in segment_data], dtype=np.int64)
+    longest = int(np.sort(lengths)[-2]) if len(lengths) > 1 else 0  # of any run
+    if longest < MIN_PATTERN_LEN:
+        return []
+    ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), longest)
+    table = np.zeros((4, 0), dtype=np.int64)  # rows: length, key, pair, start
+    for size, pair, start in _agreement_runs(data, lengths, longest):
+        keyed = np.stack((size, _content_keys(ids, bound, start, size), pair, start))
+        table = np.concatenate((table, keyed), axis=1)
+        table = table[:, _first_by_content(*table[:3])]
+    return [data[s : s + n] for n, s in zip(table[0].tolist(), table[3].tolist())]
 
 
 def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[SymbolSequence, ...]:
@@ -219,25 +275,7 @@ def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[
     if len(p1) == 0 or len(p2) == 0:
         raise ValueError("cannot extract patterns from an empty sequence")
     size = max(p1.alphabet_size, p2.alphabet_size)
-    seen: set[bytes] = set()
-    ordered: list[SymbolSequence] = []
-    for frag in _common_run_fragments(p1.data, p2.data):
-        if frag not in seen:
-            seen.add(frag)
-            ordered.append(SymbolSequence.from_bytes(frag, size))
-    return tuple(ordered)
-
-
-def _pattern_bytes(segment_data: list[bytes]) -> list[bytes]:
-    seen: set[bytes] = set()
-    ordered: list[bytes] = []
-    for i in range(len(segment_data)):
-        for j in range(i + 1, len(segment_data)):
-            for frag in _common_run_fragments(segment_data[i], segment_data[j]):
-                if frag not in seen:
-                    seen.add(frag)
-                    ordered.append(frag)
-    return ordered
+    return tuple(SymbolSequence.from_bytes(f, size) for f in _pattern_bytes([p1.data, p2.data]))
 
 
 def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
@@ -250,29 +288,48 @@ def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     return PatternSet(dictionary.direction, patterns)
 
 
-def _find_all(haystack: bytes, needle: bytes) -> list[int]:
-    """All (overlapping) 0-based match positions."""
-    out: list[int] = []
-    i = haystack.find(needle)
-    while i != -1:
-        out.append(i)
-        i = haystack.find(needle, i + 1)
-    return out
+def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """(occurrences, occurrences whose effect window flips) of each distinct pattern.
+
+    A pattern is keyed at its first occurrence in the cause, so the cause's
+    block ids give exact keys. For each pattern length, the window key of
+    every cause position, a chunk at a time, is looked up among the sorted
+    pattern keys; overlapping occurrences all count.
+    """
+    n = len(cause)
+    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
+    first_at = np.array([cause.find(p) if p else -1 for p in patterns], dtype=np.int64)
+    found = np.flatnonzero(first_at >= 0)
+    n_occ, n_change, keys = np.zeros((3, len(patterns)), dtype=np.int64)
+    top = int(lengths[found].max(initial=1))
+    ids, bound = _block_ids(np.frombuffer(cause, dtype=np.uint8), top)
+    keys[found] = _content_keys(ids, bound, first_at[found], lengths[found])
+    eff = np.frombuffer(effect, dtype=np.uint8)
+    prefix = np.concatenate(([0], np.cumsum(eff[1:] != eff[:-1])))  # flips before each index
+    for length in sorted(set(lengths[found].tolist())):
+        members = found[lengths[found] == length]
+        order = np.argsort(keys[members], kind="stable")
+        ranked = keys[members][order]
+        k = length.bit_length() - 1
+        lag = length - (1 << k)  # window key from the blocks at s and s + lag, as in _content_keys
+        for first in range(0, n - length + 1, _CHUNK // 8):
+            last = min(first + _CHUNK // 8, n - length + 1)
+            window = np.multiply(ids[k, first:last], bound[k], dtype=np.int64)
+            window += ids[k, first + lag : last + lag]
+            at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
+            hit = ranked[at] == window
+            which = members[order[at[hit]]]
+            flips = (prefix[first + length - 1 : last + length - 1] > prefix[first:last])[hit]
+            n_occ += np.bincount(which, minlength=len(patterns))
+            n_change += np.bincount(which[flips], minlength=len(patterns))
+    return n_occ, n_change
 
 
 def count_occurrences(pattern: SymbolSequence, s: SymbolSequence) -> int:
     """Number of occurrences of ``pattern`` in ``s``, overlapping included."""
     if not 1 <= len(pattern) <= len(s):
         raise ValueError("need 1 <= len(pattern) <= len(s)")
-    return len(_find_all(s.data, pattern.data))
-
-
-def _flip_prefix(effect_data: bytes) -> np.ndarray:
-    """prefix[i] = number of adjacent-symbol changes strictly before index i."""
-    arr = np.frombuffer(effect_data, dtype=np.uint8)
-    prefix = np.zeros(len(arr), dtype=np.int64)
-    np.cumsum(arr[1:] != arr[:-1], out=prefix[1:])
-    return prefix
+    return int(_occurrences(s.data, s.data, [pattern.data])[0][0])
 
 
 def response_determinism(
@@ -286,13 +343,9 @@ def response_determinism(
     """
     if len(cause) != len(effect):
         raise ValueError("cause and effect must have equal length")
-    positions = _find_all(cause.data, pattern.data)
-    if not positions:
+    n_occ, n_change = (int(c[0]) for c in _occurrences(cause.data, effect.data, [pattern.data]))
+    if not n_occ:
         raise ValueError(f"pattern {pattern.text()!r} does not occur in the cause sequence")
-    prefix = _flip_prefix(effect.data)
-    pos = np.asarray(positions, dtype=np.int64)
-    n_change = int(np.count_nonzero(prefix[pos + len(pattern) - 1] > prefix[pos]))
-    n_occ = len(positions)
     return n_change, n_occ - n_change, n_change / n_occ
 
 
@@ -319,16 +372,11 @@ def score_direction(
         return DirectionalScore(direction, (), None)
 
     n = len(cause)
-    cause_data = cause.data
-    prefix = _flip_prefix(effect.data)
+    n_occs, n_changes = _occurrences(cause.data, effect.data, pattern_bytes)
     scores: list[PatternScore] = []
     total = 0.0
-    for frag in pattern_bytes:
-        positions = _find_all(cause_data, frag)
+    for frag, n_occ, n_change in zip(pattern_bytes, n_occs.tolist(), n_changes.tolist()):
         length = len(frag)
-        pos = np.asarray(positions, dtype=np.int64)
-        n_change = int(np.count_nonzero(prefix[pos + length - 1] > prefix[pos]))
-        n_occ = len(positions)
         r_flip = n_change / n_occ
         weight = n_occ / (n - length + 1)
         h_b = binary_entropy(r_flip)

@@ -139,6 +139,8 @@ def binarize_equiwidth(series: RealSeries) -> SymbolSequence:
         )
         return SymbolSequence((0,) * len(series), 2)
     threshold = (lo + hi) / 2.0
+    if not math.isfinite(threshold):  # lo + hi overflowed
+        threshold = lo / 2.0 + hi / 2.0
     return SymbolSequence(tuple(1 if v >= threshold else 0 for v in series.values), 2)
 
 
@@ -304,7 +306,8 @@ def align_pair(
     if len(ma) == 0 or len(mb) == 0:
         raise UnusablePairError("cannot align an empty sequence")
     if ma.seq.alphabet_size != mb.seq.alphabet_size:
-        raise ValueError("cannot align sequences over different alphabets")
+        sizes = f"{ma.seq.alphabet_size} and {mb.seq.alphabet_size} symbols"
+        raise InputError(f"cannot align sequences over different alphabets ({sizes})")
     n = min(len(ma), len(mb))
     keep = [i for i in range(n) if not (ma.ambiguous[i] or mb.ambiguous[i])]
     if len(keep) < 2:

@@ -76,3 +76,41 @@ def naive_response(pattern, cause, effect):
         else:
             n_nochange += 1
     return n_change, n_nochange
+
+
+def naive_pattern_order(segments):
+    """Fragments of every segment pair i < j, each kept at its first extraction.
+
+    The shorter segment of a pair (the earlier one on a tie) slides over the
+    longer at every full-overlap offset; the maximal agreement runs of length
+    >= 2 come out by pair, then offset, then position. Works on bytes and on
+    tuples alike.
+    """
+    out, seen = [], set()
+    for i, a in enumerate(segments):
+        for b in segments[i + 1 :]:
+            short, long = (b, a) if len(a) > len(b) else (a, b)
+            for d in range(len(long) - len(short) + 1):
+                run = 0
+                for t in range(len(short) + 1):
+                    if t < len(short) and short[t] == long[d + t]:
+                        run += 1
+                        continue
+                    frag = long[d + t - run : d + t]
+                    if run >= 2 and frag not in seen:
+                        seen.add(frag)
+                        out.append(frag)
+                    run = 0
+    return out
+
+
+def find_response(pattern, cause, effect):
+    """(occurrences, occurrences whose effect window flips) of one pattern, by bytes.find."""
+    n_occ = n_change = 0
+    i = cause.find(pattern)
+    while i != -1:
+        window = effect[i : i + len(pattern)]
+        n_occ += 1
+        n_change += any(window[k] != window[k + 1] for k in range(len(window) - 1))
+        i = cause.find(pattern, i + 1)
+    return n_occ, n_change

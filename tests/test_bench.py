@@ -217,6 +217,13 @@ class TestCli:
         assert proc.returncode == 1
         assert "error" in proc.stderr
 
+    def test_infer_binarize_none_rejects_symbols_beyond_255(self, tmp_path):
+        csv = tmp_path / "pair.csv"
+        csv.write_text("0,1\n300,2\n")
+        proc = run_cli("infer", "--input", str(csv), "--binarize", "none")
+        assert proc.returncode == 1
+        assert "error: --binarize none supports symbols 0..255, got 300" in proc.stderr
+
     def test_infer_missing_file_is_input_error(self, tmp_path):
         proc = run_cli("infer", "--input", str(tmp_path / "nope.csv"))
         assert proc.returncode == 1
@@ -274,3 +281,24 @@ class TestCli:
         assert lines[1].split(",")[0] == "country"  # the candidates dir name
         assert lines[1].split(",")[1] == "3"
         assert "5%" in proc.stdout
+
+    @pytest.mark.parametrize("option", ["--reference", "--cw"])
+    def test_genomic_rejects_multi_record_reference(self, tmp_path, option):
+        (tmp_path / "ref.fasta").write_text(REF_FASTA)
+        (tmp_path / "cw.fasta").write_text(CW_FASTA)
+        (tmp_path / "two.fasta").write_text(REF_FASTA + CW_FASTA)
+        cand_dir = tmp_path / "country"
+        cand_dir.mkdir()
+        (cand_dir / "c.fasta").write_text(CANDIDATES_FASTA)
+        paths = {"--reference": tmp_path / "ref.fasta", "--cw": tmp_path / "cw.fasta"}
+        paths[option] = tmp_path / "two.fasta"
+        proc = run_cli(
+            "genomic",
+            "--reference", str(paths["--reference"]),
+            "--cw", str(paths["--cw"]),
+            "--candidates", str(cand_dir),
+            "--out", str(tmp_path / "genomic.csv"),
+        )
+        assert proc.returncode == 1
+        assert f"{tmp_path / 'two.fasta'}: expected one FASTA record, found 2" in proc.stderr
+        assert not (tmp_path / "genomic.csv").exists()

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import hypothesis.strategies as st
@@ -73,6 +74,30 @@ class TestBinarizeEquiwidth:
             base = binarize_equiwidth(RealSeries(tuple(values)))
             mapped = binarize_equiwidth(RealSeries(tuple(alpha * v + beta for v in values)))
         assert mapped.symbols == base.symbols
+
+    def test_midpoint_of_huge_values_does_not_overflow(self):
+        # lo + hi overflows to inf here, yet the midpoint must still split the series
+        assert binarize_equiwidth(RealSeries((1e308, 1.7e308, 1.2e308))).symbols == (0, 1, 0)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1.0, max_value=sys.float_info.max),
+                st.floats(min_value=-sys.float_info.max, max_value=-1.0),
+                st.sampled_from((sys.float_info.max, -sys.float_info.max)),
+            ),
+            min_size=2,
+            max_size=20,
+        )
+    )
+    def test_halving_near_the_float_range_keeps_symbols(self, values):
+        # halving is exact for these magnitudes and the halved midpoint never
+        # overflows, so both series must split at the same place
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSeriesWarning)
+            whole = binarize_equiwidth(RealSeries(tuple(values)))
+            halved = binarize_equiwidth(RealSeries(tuple(v / 2 for v in values)))
+        assert whole.symbols == halved.symbols
 
 
 class TestBinarizeNonzero:
@@ -205,6 +230,10 @@ class TestAlignPair:
         b = MaskedSequence(SymbolSequence((1, 1, 1), 4), (False, False, False))
         with pytest.raises(UnusablePairError):
             align_pair(a, b)
+
+    def test_different_alphabets_are_an_input_error(self):
+        with pytest.raises(InputError, match="2 and 4 symbols"):
+            align_pair(SymbolSequence((0, 1), 2), SymbolSequence((0, 3), 4))
 
     @given(
         st.lists(st.integers(0, 3), min_size=2, max_size=30),
