@@ -8,6 +8,7 @@ reduces in trial order.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -103,6 +104,9 @@ def run_sweep(
     for m in methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}")
+    # with the fork start method the pool starts all its workers at once, so
+    # ask for no more than there are cores, or (below) blocks to run
+    workers = min(workers, os.cpu_count() or 1)
     blocks: list[tuple] = []
     block_size = max(1, -(-spec.trials // max(1, workers * 4)))
     for vi in range(len(spec.values)):
@@ -113,6 +117,7 @@ def run_sweep(
     per_value: dict[int, list[TrialOutcome | None]] = {
         vi: [None] * spec.trials for vi in range(len(spec.values))
     }
+    workers = min(workers, len(blocks))
     if workers <= 1:
         produced = [_run_trial_block(b) for b in blocks]
     else:

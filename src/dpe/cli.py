@@ -77,6 +77,8 @@ def _to_symbols(series: RealSeries, mode: str, other: RealSeries) -> SymbolSeque
 
 
 def cmd_infer(args) -> int:
+    if args.drop < 0:
+        raise InputError(f"--drop must be >= 0, got {args.drop}")
     sx, sy = load_pair_csv(args.input, cols=_parse_cols(args.cols))
     if args.drop:
         if args.drop >= len(sx):

@@ -1,8 +1,13 @@
 """Naive reference implementations used as independent oracles in tests.
 
 Everything operates on plain tuples of ints via position-by-position scans
-and nested loops; deliberately slow and obviously correct.
+and nested loops; deliberately slow and obviously correct. The two
+compression baselines take a ``SymbolSequence`` like the functions they check.
 """
+
+import math
+
+from dpe.baselines import ComplexityValue
 
 
 def naive_flips(symbols):
@@ -114,3 +119,60 @@ def find_response(pattern, cause, effect):
         n_change += any(window[k] != window[k + 1] for k in range(len(window) - 1))
         i = cause.find(pattern, i + 1)
     return n_occ, n_change
+
+
+def naive_lz76(s):
+    """LZ76 phrase count, testing each extension against the whole history."""
+    if len(s) < 1:
+        raise ValueError("LZ76 needs a non-empty sequence")
+    data = s.data
+    n = len(data)
+    phrases = 0
+    i = 0
+    while i < n:
+        j = i + 1
+        while j <= n and data[i:j] in data[: j - 1]:
+            j += 1
+        phrases += 1
+        if j > n:
+            break
+        i = j
+    normalized = phrases * math.log2(n) / n if n > 1 else float(phrases)
+    return ComplexityValue(phrases, normalized)
+
+
+def _most_frequent_pair(seq):
+    counts = {}
+    for a, b in zip(seq, seq[1:]):
+        pair = (a, b)
+        counts[pair] = counts.get(pair, 0) + 1
+    return min(counts, key=lambda p: (-counts[p], p))
+
+
+def _substitute(seq, pair, fresh):
+    out = []
+    i = 0
+    n = len(seq)
+    while i < n:
+        if i + 1 < n and seq[i] == pair[0] and seq[i + 1] == pair[1]:
+            out.append(fresh)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
+def naive_etc(s):
+    """ETC step count, recounting and rebuilding the whole list every step."""
+    if len(s) < 1:
+        raise ValueError("ETC needs a non-empty sequence")
+    seq = list(s.symbols)
+    fresh = max(seq) + 1
+    steps = 0
+    while len(seq) > 1 and any(v != seq[0] for v in seq):
+        seq = _substitute(seq, _most_frequent_pair(seq), fresh)
+        fresh += 1
+        steps += 1
+    normalized = steps / (len(s) - 1) if len(s) > 1 else 0.0
+    return ComplexityValue(steps, normalized)

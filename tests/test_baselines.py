@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import symbol_tuples
+from dpe import baselines, cli
 from dpe.baselines import (
     baseline_direction,
     etc_complexity,
@@ -11,10 +12,147 @@ from dpe.baselines import (
 )
 from dpe.errors import InputError
 from dpe.seqcore import Direction, SymbolSequence
+from oracles import naive_etc, naive_lz76
 
 
 def seq(text):
     return SymbolSequence.from_text(text)
+
+
+@st.composite
+def sequences(draw, max_size=300):
+    """Uniform or run-heavy sequences over an alphabet of 1, 2, 4 or 256."""
+    alphabet = draw(st.sampled_from((1, 2, 4, 256)))
+    symbol = st.integers(min_value=0, max_value=alphabet - 1)
+    if draw(st.booleans()):
+        symbols = draw(st.lists(symbol, min_size=1, max_size=max_size))
+    else:  # short motifs repeated: long zero runs, aaaa, abab, aabb
+        motifs = st.lists(symbol, min_size=1, max_size=4)
+        blocks = draw(
+            st.lists(st.tuples(motifs, st.integers(1, 60)), min_size=1, max_size=8)
+        )
+        symbols = [v for motif, times in blocks for _ in range(times) for v in motif]
+        symbols = symbols[:max_size]
+    return SymbolSequence(tuple(symbols), alphabet)
+
+
+# overlapping pair counts and non-overlapping replacement disagree on runs
+RUN_HEAVY = (
+    "0000", "000", "00000", "0101", "010101010", "0011", "00110011",
+    "0" * 100 + "1" + "0" * 50, "1" + "0" * 99, "0012" * 20, "0001" * 30,
+)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("text", RUN_HEAVY)
+    def test_run_heavy_cases(self, text):
+        s = seq(text)
+        assert etc_complexity(s) == naive_etc(s)
+        assert lz76_complexity(s) == naive_lz76(s)
+
+    @settings(max_examples=300)
+    @given(sequences())
+    def test_etc_matches_oracle(self, s):
+        assert etc_complexity(s) == naive_etc(s)
+
+    @settings(max_examples=300)
+    @given(sequences())
+    def test_lz76_matches_oracle(self, s):
+        assert lz76_complexity(s) == naive_lz76(s)
+
+    @given(
+        st.sampled_from(("lzp", "etcp", "etce")),
+        symbol_tuples(min_size=2, max_size=120),
+        symbol_tuples(min_size=2, max_size=120),
+    )
+    def test_direction_matches_oracle_counts(self, method, xs, ys):
+        n = min(len(xs), len(ys))
+        x, y = SymbolSequence(xs[:n], 2), SymbolSequence(ys[:n], 2)
+        fast = baseline_direction(method, x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "lz76_complexity", naive_lz76)
+            mp.setattr(baselines, "etc_complexity", naive_etc)
+            slow = baseline_direction(method, x, y)
+        assert fast == slow  # scores, verdict and the degenerate flag
+
+
+def etc_paths(monkeypatch):
+    """Record, in order, which way each ETC count update was made."""
+    paths = []
+    count, patch = baselines._pair_counts, baselines._patch_pair_counts
+
+    def counted(*args):
+        paths.append("count")
+        return count(*args)
+
+    def patched(*args):
+        paths.append("patch")
+        return patch(*args)
+
+    monkeypatch.setattr(baselines, "_pair_counts", counted)
+    monkeypatch.setattr(baselines, "_patch_pair_counts", patched)
+    return paths
+
+
+class TestEtcUpdatePaths:
+    """Each side of the recount/patch split, checked against the oracle."""
+
+    def test_step_replacing_a_large_share_recounts(self, monkeypatch):
+        paths = etc_paths(monkeypatch)
+        s = seq("0" * 100 + "1" + "0" * 50)  # halving the zero runs
+        assert etc_complexity(s) == naive_etc(s)
+        assert paths[:2] == ["count", "count"]
+
+    def test_step_replacing_a_small_share_patches(self, monkeypatch):
+        paths = etc_paths(monkeypatch)
+        s = SymbolSequence(tuple(range(200)), 256)
+        assert etc_complexity(s) == naive_etc(s)
+        # every pair occurs once, so each step replaces one pair, which is a
+        # large enough share to recount only once the text is that short
+        short = baselines._RECOUNT_SHARE
+        assert paths == ["count"] + ["patch"] * (200 - short) + ["count"] * (short - 1)
+
+    @pytest.mark.parametrize("length, path", [(2 * baselines._RECOUNT_SHARE, "count"),
+                                              (2 * baselines._RECOUNT_SHARE + 1, "patch")])
+    def test_split_at_the_recount_share(self, monkeypatch, length, path):
+        # the first step replaces the two occurrences of (0, 1) in 0 1 0 1 2 3 ...
+        paths = etc_paths(monkeypatch)
+        s = SymbolSequence((0, 1, 0, 1) + tuple(range(2, length - 2)), 256)
+        assert etc_complexity(s) == naive_etc(s)
+        assert paths[1] == path
+
+    @given(sequences())
+    def test_both_paths_match_oracle(self, s):
+        with pytest.MonkeyPatch.context() as mp:
+            for share in (0, 1 << 40):  # patch every step, then recount every step
+                mp.setattr(baselines, "_RECOUNT_SHARE", share)
+                assert etc_complexity(s) == naive_etc(s)
+
+
+class TestEtcCodePointRange:
+    """Fresh symbols are code points, so the input length is bounded."""
+
+    def test_longest_input_within_range_is_exact(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_LAST_CODE_POINT", 40)
+        s = SymbolSequence((3, 1, 0, 2) * 9 + (0, 3), 4)  # max + n - 1 == 40
+        assert etc_complexity(s) == naive_etc(s)
+
+    def test_longer_input_is_an_input_error(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_LAST_CODE_POINT", 40)
+        with pytest.raises(InputError, match="ETC supports at most 38 symbols"):
+            etc_complexity(SymbolSequence((3, 1, 0, 2) * 9 + (0, 3, 1), 4))
+
+    def test_bench_spec_beyond_range_exits_1(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(baselines, "_LAST_CODE_POINT", 40)
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(
+            "family=delay_bitflip\nparam=delay\nvalues=1.0\n"
+            "length=64\ndrop=0\ntrials=1\nseed=5\n"
+        )
+        code = cli.main(["bench", "--spec", str(spec), "--methods", "etcp",
+                         "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "ETC supports at most" in capsys.readouterr().err
 
 
 class TestLz76:

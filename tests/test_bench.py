@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from dpe import bench
 from dpe.bench import (
     PredatorPreyResult,
     emit_results,
@@ -61,6 +62,49 @@ class TestRunSweep:
     def test_unknown_method(self):
         with pytest.raises(InputError):
             run_sweep(small_spec(), methods=("granger",))
+
+
+class SerialPool:
+    """Stand-in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCap:
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        SerialPool.sizes = []
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
+
+    def test_pool_capped_at_cpu_count(self):
+        serial = run_sweep(small_spec(), methods=("dpe", "lzp"))
+        assert run_sweep(small_spec(), methods=("dpe", "lzp"), workers=5000) == serial
+        assert SerialPool.sizes == [4]
+
+    def test_pool_capped_at_block_count(self):
+        spec = small_spec(values=(1.0, 2.0), trials=1)  # two one-trial blocks
+        assert run_sweep(spec, workers=5000) == run_sweep(spec)
+        assert SerialPool.sizes == [2]
+
+    def test_one_block_runs_without_a_pool(self, monkeypatch):
+        spec = small_spec(values=(1.0,), trials=1)
+        run_sweep(spec, workers=5000)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)  # unknown: one core
+        run_sweep(small_spec(), workers=3)
+        assert SerialPool.sizes == []
 
 
 class TestEmitResults:
@@ -223,6 +267,13 @@ class TestCli:
         proc = run_cli("infer", "--input", str(csv), "--binarize", "none")
         assert proc.returncode == 1
         assert "error: --binarize none supports symbols 0..255, got 300" in proc.stderr
+
+    def test_infer_negative_drop_is_input_error(self, tmp_path):
+        csv = tmp_path / "pair.csv"
+        csv.write_text("0,1\n1,0\n0,1\n")
+        proc = run_cli("infer", "--input", str(csv), "--drop", "-1")
+        assert proc.returncode == 1
+        assert "error: --drop must be >= 0, got -1" in proc.stderr
 
     def test_infer_missing_file_is_input_error(self, tmp_path):
         proc = run_cli("infer", "--input", str(tmp_path / "nope.csv"))
