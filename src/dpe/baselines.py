@@ -20,8 +20,10 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
-from .seqcore import Direction, SymbolSequence
+from .seqcore import MAX_ALPHABET, Direction, SymbolSequence
 
 BASELINE_METHODS = ("lzp", "etcp", "etce")
 
@@ -196,19 +198,19 @@ def joint_sequence(x: SymbolSequence, y: SymbolSequence) -> SymbolSequence:
 
     Each distinct (x_t, y_t) state gets a fresh symbol in order of first
     appearance, so joint(x, y) and joint(y, x) are the identical sequence and
-    directional scores swap exactly under argument exchange.
+    directional scores swap exactly under argument exchange. More than 256
+    distinct states do not fit one alphabet and are an input error.
     """
     if len(x) != len(y):
         raise InputError("joint sequence needs equal lengths")
-    labels: dict[tuple[int, int], int] = {}
-    symbols = []
-    for pair in zip(x.symbols, y.symbols):
-        code = labels.get(pair)
-        if code is None:
-            code = len(labels)
-            labels[pair] = code
-        symbols.append(code)
-    return SymbolSequence(tuple(symbols), max(len(labels), 1))
+    states = np.frombuffer(x.data, np.uint8).astype(np.uint16) * 256
+    states += np.frombuffer(y.data, np.uint8)
+    _, first, inverse = np.unique(states, return_index=True, return_inverse=True)
+    if len(first) > MAX_ALPHABET:
+        raise InputError(f"joint sequence has {len(first)} distinct states, at most {MAX_ALPHABET}")
+    label = np.empty(len(first), dtype=np.uint8)
+    label[np.argsort(first)] = np.arange(len(first))
+    return SymbolSequence(label[inverse].tobytes(), max(len(first), 1))
 
 
 def baseline_direction(method: str, x: SymbolSequence, y: SymbolSequence) -> BaselineVerdict:

@@ -1,9 +1,10 @@
 """Symbolic sequences, discretization of real-valued series, and paired-data ingestion.
 
-Sequences are immutable tuples of small non-negative integers over an explicit
-alphabet. Real series are validated once on ingestion (finite values only) and
-then discretized into symbols by one of two schemes: equi-width binning with two
-bins, or a nonzero indicator for sparse data.
+A sequence is stored as bytes, one byte per symbol, over an explicit
+alphabet of at most 256 symbols; ingest, alignment and the kernels all work
+on those bytes. Real series are validated once on ingestion (finite values
+only) and then discretized into symbols by one of two schemes: equi-width
+binning with two bins, or a nonzero indicator for sparse data.
 """
 
 from __future__ import annotations
@@ -11,9 +12,13 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     CsvParseError,
@@ -24,6 +29,10 @@ from .errors import (
 )
 
 MAX_ALPHABET = 256
+
+_ALL_SYMBOLS = bytes(range(MAX_ALPHABET))
+_DIGITS = bytes.maketrans(_ALL_SYMBOLS[:10], b"0123456789")
+_SYMBOL_RANGE = "every symbol must satisfy 0 <= symbol < alphabet_size"
 
 
 class Direction(str, Enum):
@@ -38,56 +47,64 @@ class Direction(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymbolSequence:
     """Finite-alphabet sequence; the universal input of all analyses.
 
-    ``symbols`` are 0-based and every symbol must be < ``alphabet_size``.
-    A bytes mirror of the symbols is cached for fast substring work.
+    ``symbols`` may be bytes or any iterable of ints; they are 0-based and
+    every symbol must be < ``alphabet_size``. ``data`` holds them as bytes,
+    one byte per symbol, and ``symbols`` gives them back as a tuple of ints.
     """
 
-    symbols: tuple[int, ...]
+    data: bytes
     alphabet_size: int
-    _data: bytes = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.symbols, tuple):
-            object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not 1 <= self.alphabet_size <= MAX_ALPHABET:
+    def __init__(self, symbols: bytes | Iterable[int], alphabet_size: int):
+        if not isinstance(symbols, (bytes, bytearray, tuple, list)):
+            symbols = tuple(symbols)  # a bare int raises here instead of becoming bytes(n)
+        try:
+            data = bytes(symbols)
+        except (TypeError, ValueError):
+            data = None
+        if not 1 <= alphabet_size <= MAX_ALPHABET:
             raise ValueError(f"alphabet_size must be in [1, {MAX_ALPHABET}]")
-        if any(not 0 <= s < self.alphabet_size for s in self.symbols):
-            raise ValueError("every symbol must satisfy 0 <= symbol < alphabet_size")
-        object.__setattr__(self, "_data", bytes(self.symbols))
+        if data is None:  # keep the element-wise check's errors for ints, floats and str
+            if any(not 0 <= s < alphabet_size for s in symbols):
+                raise ValueError(_SYMBOL_RANGE)
+            bytes(symbols)  # an in-range float: TypeError
+        if data.translate(None, _ALL_SYMBOLS[:alphabet_size]):
+            raise ValueError(_SYMBOL_RANGE)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+
+    @cached_property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(self.data)
 
     def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def data(self) -> bytes:
-        """Symbols as raw bytes (one byte per symbol)."""
-        return self._data
+        return len(self.data)
 
     def text(self) -> str:
         """Compact display form: digit string for alphabets up to 10."""
         if self.alphabet_size <= 10:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+            return self.data.translate(_DIGITS).decode("ascii")
+        return ",".join(map(str, self.data))
 
     def fragment(self, start: int, stop: int) -> "SymbolSequence":
         """Contiguous sub-sequence over the same alphabet."""
-        return SymbolSequence(self.symbols[start:stop], self.alphabet_size)
+        return SymbolSequence(self.data[start:stop], self.alphabet_size)
 
     @classmethod
     def from_text(cls, text: str, alphabet_size: int | None = None) -> "SymbolSequence":
         """Parse a digit string such as ``"0110"`` (alphabet inferred if omitted)."""
-        symbols = tuple(int(c) for c in text)
+        symbols = tuple(map(int, text))
         if alphabet_size is None:
             alphabet_size = max(symbols, default=0) + 1
         return cls(symbols, alphabet_size)
 
     @classmethod
     def from_bytes(cls, data: bytes, alphabet_size: int) -> "SymbolSequence":
-        return cls(tuple(data), alphabet_size)
+        return cls(data, alphabet_size)
 
 
 @dataclass(frozen=True)
@@ -137,18 +154,18 @@ def binarize_equiwidth(series: RealSeries) -> SymbolSequence:
         warnings.warn(
             "constant series binarized to all zeros", DegenerateSeriesWarning, stacklevel=2
         )
-        return SymbolSequence((0,) * len(series), 2)
+        return SymbolSequence(bytes(len(series)), 2)
     threshold = (lo + hi) / 2.0
     if not math.isfinite(threshold):  # lo + hi overflowed
         threshold = lo / 2.0 + hi / 2.0
-    return SymbolSequence(tuple(1 if v >= threshold else 0 for v in series.values), 2)
+    return SymbolSequence((np.array(series.values) >= threshold).tobytes(), 2)
 
 
 def binarize_nonzero(series: RealSeries) -> SymbolSequence:
     """Indicator binarization: 1 wherever the value is nonzero."""
     if len(series) == 0:
         raise ValueError("cannot binarize an empty series")
-    return SymbolSequence(tuple(1 if v != 0 else 0 for v in series.values), 2)
+    return SymbolSequence((np.array(series.values) != 0).tobytes(), 2)
 
 
 def _parse_cell(cell: str) -> float | None:
@@ -208,16 +225,41 @@ NUCLEOTIDE_TO_SYMBOL = {"A": 0, "C": 1, "G": 2, "T": 3}
 SYMBOL_TO_NUCLEOTIDE = "ACGT"
 
 
-@dataclass(frozen=True)
+# FASTA sequence text is encoded as ASCII with "?" for every other code
+# point, one byte per character, then mapped through these bytes.translate
+# tables. Only ASCII ACGT in either case is a base: no other code point
+# upper-cases to A, C, G or T.
+_BASES = {**NUCLEOTIDE_TO_SYMBOL, **{b.lower(): s for b, s in NUCLEOTIDE_TO_SYMBOL.items()}}
+_BASE_SYMBOL = bytes(_BASES.get(chr(c), 0) for c in range(256))
+_BASE_AMBIGUOUS = bytes(chr(c) not in _BASES for c in range(256))
+_FLAG = b"\0" + b"\1" * 255  # nonzero mask bytes -> 1
+
+
+@dataclass(frozen=True, init=False)
 class MaskedSequence:
-    """A sequence plus a per-position ambiguity mask (True = drop pairwise)."""
+    """A sequence plus a per-position ambiguity mask (True = drop pairwise).
+
+    ``ambiguous`` may be bytes (nonzero = ambiguous) or any iterable of
+    bools. ``mask`` holds it as one 0/1 byte per position and ``ambiguous``
+    gives it back as a tuple of bools.
+    """
 
     seq: SymbolSequence
-    ambiguous: tuple[bool, ...]
+    mask: bytes
 
-    def __post_init__(self):
-        if len(self.seq) != len(self.ambiguous):
+    def __init__(self, seq: SymbolSequence, ambiguous: bytes | Iterable[bool]):
+        if isinstance(ambiguous, bytes):
+            mask = ambiguous.translate(_FLAG)
+        else:
+            mask = bytes(map(bool, ambiguous))
+        if len(seq) != len(mask):
             raise ValueError("mask length must match sequence length")
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def ambiguous(self) -> tuple[bool, ...]:
+        return tuple(map(bool, self.mask))
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -235,7 +277,7 @@ class FastaRecord:
 
 def nucleotide_display(seq: SymbolSequence) -> str:
     """1-based digit labels for a 4-symbol nucleotide sequence (A=1 .. T=4)."""
-    return "".join(str(s + 1) for s in seq.symbols)
+    return "".join(str(s + 1) for s in seq.data)
 
 
 def load_fasta(path: str | Path) -> list[FastaRecord]:
@@ -252,17 +294,18 @@ def load_fasta(path: str | Path) -> list[FastaRecord]:
         raise InputError(f"cannot open {path}: {exc}") from exc
     records: list[FastaRecord] = []
     identifier: str | None = None
-    symbols: list[int] = []
-    mask: list[bool] = []
+    lines: list[str] = []
 
     def flush():
         if identifier is None:
             return
-        if not symbols:
+        if not lines:
             raise FastaParseError(f"{path}: record {identifier!r} has no sequence data")
-        records.append(
-            FastaRecord(identifier, MaskedSequence(SymbolSequence(tuple(symbols), 4), tuple(mask)))
+        raw = "".join(lines).encode("ascii", "replace")
+        masked = MaskedSequence(
+            SymbolSequence(raw.translate(_BASE_SYMBOL), 4), raw.translate(_BASE_AMBIGUOUS)
         )
+        records.append(FastaRecord(identifier, masked))
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -271,18 +314,11 @@ def load_fasta(path: str | Path) -> list[FastaRecord]:
         if line.startswith(">"):
             flush()
             identifier = line[1:].split()[0] if line[1:].split() else line[1:]
-            symbols, mask = [], []
+            lines = []
             continue
         if identifier is None:
             raise FastaParseError(f"{path}: line {lineno}: sequence data before any '>' header")
-        for ch in line:
-            code = NUCLEOTIDE_TO_SYMBOL.get(ch.upper())
-            if code is None:
-                symbols.append(0)
-                mask.append(True)
-            else:
-                symbols.append(code)
-                mask.append(False)
+        lines.append(line)
     flush()
     if not records:
         raise FastaParseError(f"{path}: no FASTA records found")
@@ -292,7 +328,7 @@ def load_fasta(path: str | Path) -> list[FastaRecord]:
 def _as_masked(seq: MaskedSequence | SymbolSequence) -> MaskedSequence:
     if isinstance(seq, MaskedSequence):
         return seq
-    return MaskedSequence(seq, (False,) * len(seq))
+    return MaskedSequence(seq, bytes(len(seq)))
 
 
 def align_pair(
@@ -309,10 +345,11 @@ def align_pair(
         sizes = f"{ma.seq.alphabet_size} and {mb.seq.alphabet_size} symbols"
         raise InputError(f"cannot align sequences over different alphabets ({sizes})")
     n = min(len(ma), len(mb))
-    keep = [i for i in range(n) if not (ma.ambiguous[i] or mb.ambiguous[i])]
-    if len(keep) < 2:
-        raise UnusablePairError(f"aligned pair has {len(keep)} usable positions, need >= 2")
+    keep = (np.frombuffer(ma.mask, np.uint8, n) | np.frombuffer(mb.mask, np.uint8, n)) == 0
+    usable = int(np.count_nonzero(keep))
+    if usable < 2:
+        raise UnusablePairError(f"aligned pair has {usable} usable positions, need >= 2")
     size = ma.seq.alphabet_size
-    xa = SymbolSequence(tuple(ma.seq.symbols[i] for i in keep), size)
-    xb = SymbolSequence(tuple(mb.seq.symbols[i] for i in keep), size)
+    xa = SymbolSequence(np.frombuffer(ma.seq.data, np.uint8, n)[keep].tobytes(), size)
+    xb = SymbolSequence(np.frombuffer(mb.seq.data, np.uint8, n)[keep].tobytes(), size)
     return SequencePair(xa, xb)

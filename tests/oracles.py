@@ -3,11 +3,16 @@
 Everything operates on plain tuples of ints via position-by-position scans
 and nested loops; deliberately slow and obviously correct. The two
 compression baselines take a ``SymbolSequence`` like the functions they check.
+The ingest oracles read FASTA one character at a time and align through an
+index list, giving plain tuples back.
 """
 
 import math
+from pathlib import Path
 
 from dpe.baselines import ComplexityValue
+from dpe.errors import FastaParseError, InputError, UnusablePairError
+from dpe.seqcore import NUCLEOTIDE_TO_SYMBOL, MaskedSequence
 
 
 def naive_flips(symbols):
@@ -176,3 +181,81 @@ def naive_etc(s):
         steps += 1
     normalized = steps / (len(s) - 1) if len(s) > 1 else 0.0
     return ComplexityValue(steps, normalized)
+
+
+def naive_joint(xs, ys):
+    """(labels, distinct states): each (x_t, y_t) state labelled in order of first appearance."""
+    labels = {}
+    symbols = []
+    for pair in zip(xs, ys):
+        code = labels.get(pair)
+        if code is None:
+            code = len(labels)
+            labels[pair] = code
+        symbols.append(code)
+    return tuple(symbols), len(labels)
+
+
+def naive_load_fasta(path):
+    """[(identifier, symbols, mask)] of a FASTA file, mapping one character at a time.
+
+    A character is a base when its ``.upper()`` is A, C, G or T; any other
+    keeps its position as symbol 0 and is masked. Raises the errors
+    ``load_fasta`` raises.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from exc
+    records = []
+    identifier = None
+    symbols, mask = [], []
+
+    def flush():
+        if identifier is None:
+            return
+        if not symbols:
+            raise FastaParseError(f"{path}: record {identifier!r} has no sequence data")
+        records.append((identifier, tuple(symbols), tuple(mask)))
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            flush()
+            identifier = line[1:].split()[0] if line[1:].split() else line[1:]
+            symbols, mask = [], []
+            continue
+        if identifier is None:
+            raise FastaParseError(f"{path}: line {lineno}: sequence data before any '>' header")
+        for ch in line:
+            code = NUCLEOTIDE_TO_SYMBOL.get(ch.upper())
+            if code is None:
+                symbols.append(0)
+                mask.append(True)
+            else:
+                symbols.append(code)
+                mask.append(False)
+    flush()
+    if not records:
+        raise FastaParseError(f"{path}: no FASTA records found")
+    return records
+
+
+def naive_align(a, b):
+    """(x symbols, y symbols) of ``align_pair`` through a list of kept indices."""
+    ma = a if isinstance(a, MaskedSequence) else MaskedSequence(a, (False,) * len(a))
+    mb = b if isinstance(b, MaskedSequence) else MaskedSequence(b, (False,) * len(b))
+    if len(ma) == 0 or len(mb) == 0:
+        raise UnusablePairError("cannot align an empty sequence")
+    if ma.seq.alphabet_size != mb.seq.alphabet_size:
+        sizes = f"{ma.seq.alphabet_size} and {mb.seq.alphabet_size} symbols"
+        raise InputError(f"cannot align sequences over different alphabets ({sizes})")
+    n = min(len(ma), len(mb))
+    amb_a, amb_b = ma.ambiguous, mb.ambiguous
+    sym_a, sym_b = ma.seq.symbols, mb.seq.symbols
+    keep = [i for i in range(n) if not (amb_a[i] or amb_b[i])]
+    if len(keep) < 2:
+        raise UnusablePairError(f"aligned pair has {len(keep)} usable positions, need >= 2")
+    return tuple(sym_a[i] for i in keep), tuple(sym_b[i] for i in keep)

@@ -12,7 +12,7 @@ from dpe.baselines import (
 )
 from dpe.errors import InputError
 from dpe.seqcore import Direction, SymbolSequence
-from oracles import naive_etc, naive_lz76
+from oracles import naive_etc, naive_joint, naive_lz76
 
 
 def seq(text):
@@ -219,6 +219,30 @@ class TestJointSequence:
             for j in range(i + 1, n):
                 same_state = (xs[i], ys[i]) == (xs[j], ys[j])
                 assert (joint.symbols[i] == joint.symbols[j]) == same_state
+
+    @given(st.sampled_from((1, 2, 4, 16)).flatmap(
+        lambda k: st.tuples(st.just(k), symbol_tuples(0, 80, k), symbol_tuples(0, 80, k))))
+    def test_matches_oracle(self, case):
+        alphabet, xs, ys = case
+        n = min(len(xs), len(ys))
+        joint = joint_sequence(SymbolSequence(xs[:n], alphabet), SymbolSequence(ys[:n], alphabet))
+        labels, states = naive_joint(xs[:n], ys[:n])
+        assert joint.symbols == labels
+        assert joint.alphabet_size == max(states, 1)
+
+    def test_more_than_256_states_is_an_input_error(self):
+        ramp = bytes(range(256))
+        x = SymbolSequence(ramp * 2, 256)
+        y = SymbolSequence(ramp[::-1] + ramp, 256)
+        assert naive_joint(x.symbols, y.symbols)[1] == 512
+        with pytest.raises(InputError, match="joint sequence has 512 distinct states"):
+            baseline_direction("lzp", x, y)
+
+    def test_exactly_256_states_fit(self):
+        x = SymbolSequence(bytes(range(256)) * 2, 256)
+        joint = joint_sequence(x, x)
+        assert joint.alphabet_size == 256
+        assert joint.symbols == tuple(range(256)) * 2
 
 
 class TestBaselineDirection:

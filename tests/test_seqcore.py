@@ -41,6 +41,62 @@ class TestSymbolSequence:
         assert s.fragment(1, 3) == SymbolSequence((1, 2), 4)
 
 
+SYMBOL_RANGE = "every symbol must satisfy 0 <= symbol < alphabet_size"
+
+
+class TestSymbolSequenceContract:
+    @pytest.mark.parametrize(
+        "symbols, alphabet, error, message",
+        [
+            ((0, -1), 2, ValueError, SYMBOL_RANGE),
+            ((0, 256), 256, ValueError, SYMBOL_RANGE),
+            ((0, 300), 4, ValueError, SYMBOL_RANGE),
+            ((0, 2), 2, ValueError, SYMBOL_RANGE),
+            (b"\x00\x04", 4, ValueError, SYMBOL_RANGE),
+            ((0.0, 1.0), 2, TypeError, "'float' object cannot be interpreted as an integer"),
+            ((3.0,), 2, ValueError, SYMBOL_RANGE),
+            ("01", 2, TypeError, "'<=' not supported between instances of 'int' and 'str'"),
+            ((5, "a"), 2, ValueError, SYMBOL_RANGE),
+            ((0, 1), 0, ValueError, "alphabet_size must be in [1, 256]"),
+            ((0, -1), 257, ValueError, "alphabet_size must be in [1, 256]"),
+        ],
+    )
+    def test_invalid_input_keeps_its_error(self, symbols, alphabet, error, message):
+        with pytest.raises(error) as info:
+            SymbolSequence(symbols, alphabet)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bare", [5, 0, True])
+    def test_bare_int_is_not_a_length(self, bare):
+        # bytes(5) would be five zero symbols
+        with pytest.raises(TypeError, match="object is not iterable"):
+            SymbolSequence(bare, 2)
+
+    @given(st.lists(st.integers(0, 255), max_size=40))
+    def test_tuple_and_bytes_construct_the_same_sequence(self, symbols):
+        from_tuple = SymbolSequence(tuple(symbols), 256)
+        from_bytes = SymbolSequence(bytes(symbols), 256)
+        assert from_tuple == from_bytes == SymbolSequence(symbols, 256)
+        assert hash(from_tuple) == hash(from_bytes)
+        assert from_tuple.data == from_bytes.data == bytes(symbols)
+        assert len(from_tuple) == len(symbols)
+
+    @pytest.mark.parametrize("symbols", [(0, 1, 1), [0, 1, 1], b"\x00\x01\x01", iter((0, 1, 1))])
+    def test_symbols_is_a_tuple_of_ints(self, symbols):
+        s = SymbolSequence(symbols, 2)
+        assert type(s.symbols) is tuple
+        assert s.symbols == (0, 1, 1)
+        assert all(type(v) is int for v in s.symbols)
+
+    def test_alphabet_is_compared(self):
+        assert SymbolSequence((0, 1), 2) != SymbolSequence((0, 1), 3)
+
+    def test_text_of_wide_alphabet(self):
+        assert SymbolSequence((0, 11, 255), 256).text() == "0,11,255"
+        assert SymbolSequence((0, 9, 3), 10).text() == "093"
+
+
 class TestRealSeries:
     def test_rejects_nan_and_inf(self):
         with pytest.raises(ValueError):
