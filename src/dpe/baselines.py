@@ -27,8 +27,6 @@ from .seqcore import MAX_ALPHABET, Direction, SymbolSequence
 
 BASELINE_METHODS = ("lzp", "etcp", "etce")
 
-_TIE_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class ComplexityValue:
@@ -226,23 +224,12 @@ def baseline_direction(method: str, x: SymbolSequence, y: SymbolSequence) -> Bas
     penalty_xy = float(c_joint - c_x)
     penalty_yx = float(c_joint - c_y)
     if method in ("lzp", "etcp"):
-        score_xy, score_yx = penalty_xy, penalty_yx
-        if abs(score_xy - score_yx) <= _TIE_EPS:
-            verdict = Direction.INDEPENDENT
-        elif score_xy < score_yx:
-            verdict = Direction.X_CAUSES_Y
-        else:
-            verdict = Direction.Y_CAUSES_X
-        return BaselineVerdict(method, verdict, score_xy, score_yx)
+        verdict = Direction.lower_wins(penalty_xy, penalty_yx)
+        return BaselineVerdict(method, verdict, penalty_xy, penalty_yx)
     # etce: normalized gain, undefined when an effect complexity is zero
     if c_y == 0 or c_x == 0:
         return BaselineVerdict(method, Direction.INDEPENDENT, 0.0, 0.0, degenerate=True)
     score_xy = (c_y - penalty_xy) / c_y
     score_yx = (c_x - penalty_yx) / c_x
-    if abs(score_xy - score_yx) <= _TIE_EPS:
-        verdict = Direction.INDEPENDENT
-    elif score_xy > score_yx:
-        verdict = Direction.X_CAUSES_Y
-    else:
-        verdict = Direction.Y_CAUSES_X
+    verdict = Direction.lower_wins(-score_xy, -score_yx)  # the higher efficacy wins
     return BaselineVerdict(method, verdict, score_xy, score_yx)

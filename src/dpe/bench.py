@@ -48,6 +48,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    truth: Direction  # the generated pair's ground truth
     verdicts: dict[str, Direction]
     hbar_xy: float | None
     hbar_yx: float | None
@@ -70,27 +71,16 @@ def _run_single_trial(
             hbar_yx = report.score_yx.h_bar
         else:
             verdicts[method] = baseline_direction(method, pair.x, pair.y).verdict
-    return TrialOutcome(verdicts, hbar_xy, hbar_yx)
+    return TrialOutcome(pair.ground_truth, verdicts, hbar_xy, hbar_yx)
 
 
-def _run_trial_block(args) -> tuple[int, int, list[TrialOutcome]]:
+def _run_trial_block(args) -> list[TrialOutcome]:
     spec, value_index, start, stop, methods = args
     value = spec.values[value_index]
-    outcomes = [
+    return [
         _run_single_trial(spec, value, value_index * spec.trials + t, methods)
         for t in range(start, stop)
     ]
-    return value_index, start, outcomes
-
-
-def _ground_truth(spec: TrialSpec, value: float) -> Direction:
-    # regenerating one pair just for its label would be wasteful; mirror the
-    # generators' rules instead
-    if spec.family == "ar1":
-        return Direction.INDEPENDENT if value == 0 else Direction.Y_CAUSES_X
-    if spec.family == "skew_tent":
-        return Direction.INDEPENDENT if value == 0 else Direction.X_CAUSES_Y
-    return Direction.X_CAUSES_Y
 
 
 def run_sweep(
@@ -98,7 +88,8 @@ def run_sweep(
 ) -> list[SweepResult]:
     """Run the full battery and aggregate accuracies against ground truth.
 
-    Independent verdicts on coupled ground truth count as incorrect. Results
+    Each verdict is scored against the ground truth of its generated pair;
+    independent verdicts on coupled ground truth count as incorrect. Results
     are deterministic for a fixed spec regardless of ``workers``.
     """
     for m in methods:
@@ -113,26 +104,19 @@ def run_sweep(
         for start in range(0, spec.trials, block_size):
             stop = min(start + block_size, spec.trials)
             blocks.append((spec, vi, start, stop, tuple(methods)))
-
-    per_value: dict[int, list[TrialOutcome | None]] = {
-        vi: [None] * spec.trials for vi in range(len(spec.values))
-    }
     workers = min(workers, len(blocks))
     if workers <= 1:
         produced = [_run_trial_block(b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             produced = list(pool.map(_run_trial_block, blocks))
-    for value_index, start, outcomes in produced:
-        for offset, outcome in enumerate(outcomes):
-            per_value[value_index][start + offset] = outcome
+    ordered = [outcome for block in produced for outcome in block]  # by trial ordinal
 
     results: list[SweepResult] = []
     for vi, value in enumerate(spec.values):
-        truth = _ground_truth(spec, value)
-        outcomes = per_value[vi]
+        outcomes = ordered[vi * spec.trials : (vi + 1) * spec.trials]
         for method in methods:
-            n_correct = sum(1 for o in outcomes if o.verdicts[method] == truth)
+            n_correct = sum(1 for o in outcomes if o.verdicts[method] == o.truth)
             n_independent = sum(
                 1 for o in outcomes if o.verdicts[method] == Direction.INDEPENDENT
             )

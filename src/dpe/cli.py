@@ -22,21 +22,13 @@ from .seqcore import (
     load_fasta,
     load_pair_csv,
 )
-from .synth import TrialSpec
+from .synth import FAMILY_DEFAULTS, TrialSpec
 
 FAMILY_ALIASES = {
     "delay": "delay_bitflip",
     "ar1": "ar1",
     "tent": "skew_tent",
     "sparse": "sparse",
-}
-
-# sweep grid, desk-scale trials, full-scale trials, param name, length, drop
-FAMILY_DEFAULTS = {
-    "delay_bitflip": (tuple(float(k) for k in range(7)), 200, 1000, "delay", 100, 0),
-    "ar1": (tuple(round(0.05 * i, 2) for i in range(20)), 200, 2000, "phi", 1500, 500),
-    "skew_tent": (tuple(round(0.1 * i, 1) for i in range(10)), 200, 2000, "eta", 1500, 500),
-    "sparse": (tuple(float(k) for k in range(5, 55, 5)), 100, 100, "k", 2000, 0),
 }
 
 

@@ -27,10 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .seqcore import Direction, SymbolSequence
-
-#: Average weighted entropies closer than this are treated as equal.
-VERDICT_TOLERANCE = 1e-12
+from .seqcore import VERDICT_TOLERANCE, Direction, SymbolSequence
 
 #: Dictionary segments and extracted patterns are never shorter than this.
 MIN_PATTERN_LEN = 2
@@ -366,25 +363,23 @@ def score_direction(
         raise InputError("cause and effect must have equal length")
     if len(cause) < 2:
         raise InputError("causal scoring needs sequences of length >= 2")
-    dictionary = build_flip_dictionary(cause, effect, direction)
-    pattern_bytes = _pattern_bytes([seg.data for seg in dictionary.segments])
-    if not pattern_bytes:
+    patterns = build_pattern_set(build_flip_dictionary(cause, effect, direction)).patterns
+    if not patterns:
         return DirectionalScore(direction, (), None)
 
     n = len(cause)
-    n_occs, n_changes = _occurrences(cause.data, effect.data, pattern_bytes)
+    n_occs, n_changes = _occurrences(cause.data, effect.data, [p.data for p in patterns])
     scores: list[PatternScore] = []
     total = 0.0
-    for frag, n_occ, n_change in zip(pattern_bytes, n_occs.tolist(), n_changes.tolist()):
-        length = len(frag)
+    for pattern, n_occ, n_change in zip(patterns, n_occs.tolist(), n_changes.tolist()):
         r_flip = n_change / n_occ
-        weight = n_occ / (n - length + 1)
+        weight = n_occ / (n - len(pattern) + 1)
         h_b = binary_entropy(r_flip)
         h_w = weight * h_b
         total += h_w
         scores.append(
             PatternScore(
-                pattern=SymbolSequence.from_bytes(frag, cause.alphabet_size),
+                pattern=pattern,
                 n_change=n_change,
                 n_nochange=n_occ - n_change,
                 r_flip=r_flip,
@@ -438,19 +433,14 @@ def infer_causal_direction(x: SymbolSequence, y: SymbolSequence) -> CausalReport
         raise InputError("sequences must share one alphabet")
     score_xy = score_direction(x, y, LABEL_XY)
     score_yx = score_direction(y, x, LABEL_YX)
-    hxy = score_xy.effective_h_bar
-    hyx = score_yx.effective_h_bar
     if not score_xy.has_evidence and not score_yx.has_evidence:
-        verdict, strength = Direction.INDEPENDENT, 0.0
-    elif abs(hxy - hyx) <= VERDICT_TOLERANCE:
-        verdict, strength = Direction.INDEPENDENT, abs(hxy - hyx)
-    elif hxy < hyx:
-        verdict, strength = Direction.X_CAUSES_Y, hyx - hxy
-    else:
-        verdict, strength = Direction.Y_CAUSES_X, hxy - hyx
-    report = CausalReport(score_xy, score_yx, verdict, strength, ())
-    ranked = attribute_patterns(report)
-    return CausalReport(score_xy, score_yx, verdict, strength, ranked)
+        return CausalReport(score_xy, score_yx, Direction.INDEPENDENT, 0.0, ())
+    hxy, hyx = score_xy.effective_h_bar, score_yx.effective_h_bar
+    verdict = Direction.lower_wins(hxy, hyx)
+    ranked = ()
+    if verdict != Direction.INDEPENDENT:
+        ranked = _rank_patterns(score_xy if verdict == Direction.X_CAUSES_Y else score_yx)
+    return CausalReport(score_xy, score_yx, verdict, abs(hxy - hyx), ranked)
 
 
 def _fmt(value: float) -> str:

@@ -34,6 +34,9 @@ _ALL_SYMBOLS = bytes(range(MAX_ALPHABET))
 _DIGITS = bytes.maketrans(_ALL_SYMBOLS[:10], b"0123456789")
 _SYMBOL_RANGE = "every symbol must satisfy 0 <= symbol < alphabet_size"
 
+#: Directional scores closer than this are treated as equal.
+VERDICT_TOLERANCE = 1e-12
+
 
 class Direction(str, Enum):
     """Causal direction label, used both for ground truth and verdicts."""
@@ -41,10 +44,20 @@ class Direction(str, Enum):
     X_CAUSES_Y = "x_causes_y"
     Y_CAUSES_X = "y_causes_x"
     INDEPENDENT = "independent"
-    BIDIRECTIONAL = "bidirectional"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+    @staticmethod
+    def lower_wins(score_xy: float, score_yx: float) -> "Direction":
+        """The minimum criterion: the direction with the lower score is causal.
+
+        Scores within VERDICT_TOLERANCE of each other tie, and a tie is
+        independent; +inf (no evidence) loses to any finite score.
+        """
+        if abs(score_xy - score_yx) <= VERDICT_TOLERANCE:
+            return Direction.INDEPENDENT
+        return Direction.X_CAUSES_Y if score_xy < score_yx else Direction.Y_CAUSES_X
 
 
 @dataclass(frozen=True, init=False)

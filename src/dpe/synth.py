@@ -21,7 +21,15 @@ from .seqcore import (
     binarize_nonzero,
 )
 
-FAMILIES = ("delay_bitflip", "ar1", "skew_tent", "sparse")
+# sweep grid, desk-scale trials, full-scale trials, param name, length, drop
+FAMILY_DEFAULTS = {
+    "delay_bitflip": (tuple(float(k) for k in range(7)), 200, 1000, "delay", 100, 0),
+    "ar1": (tuple(round(0.05 * i, 2) for i in range(20)), 200, 2000, "phi", 1500, 500),
+    "skew_tent": (tuple(round(0.1 * i, 1) for i in range(10)), 200, 2000, "eta", 1500, 500),
+    "sparse": (tuple(float(k) for k in range(5, 55, 5)), 100, 100, "k", 2000, 0),
+}
+
+FAMILIES = tuple(FAMILY_DEFAULTS)
 
 # fixed model constants
 AR1_A = 0.8
@@ -210,6 +218,8 @@ def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
     """
     if not 1 <= k <= 50:
         raise InputError("sparsity k must lie in [1, 50]")
+    if k > n:
+        raise InputError(f"sparsity k={k} exceeds the series length {n}")
     t1 = set(rng.sample_without_replacement(n, k))  # 0-based instants
     t2 = {t + 1 for t in t1 if t + 1 < n}
     z1_latent = 0.0
@@ -232,6 +242,8 @@ def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
 
 def generate_trial(family: str, value: float, length: int, drop: int, rng: RngStream) -> SequencePair:
     """Dispatch one trial of any family; ``value`` is the swept parameter."""
+    if family in ("delay_bitflip", "sparse") and not float(value).is_integer():
+        raise InputError(f"{family} needs a whole-number parameter value, got {value}")
     if family == "delay_bitflip":
         return gen_delayed_bitflip(length, int(value), rng)
     if family == "ar1":

@@ -297,3 +297,38 @@ class TestBaselineDirection:
             Direction.INDEPENDENT: Direction.INDEPENDENT,
         }
         assert rev.verdict == mirrored[fwd.verdict]
+
+
+class TestSharedVerdictRule:
+    # unrelated inputs whose complexities tie, with nonzero penalties both ways
+    TIED = ("0100010010100001", "1011100111110011")
+
+    @pytest.mark.parametrize("method, score", (("lzp", 1.0), ("etcp", 3.0), ("etce", 0.625)))
+    def test_tied_scores_are_independent(self, method, score):
+        v = baseline_direction(method, seq(self.TIED[0]), seq(self.TIED[1]))
+        assert v.score_xy == v.score_yx == score
+        assert v.verdict == Direction.INDEPENDENT
+        assert not v.degenerate
+
+    def test_etce_higher_efficacy_wins(self):
+        x, y = seq("010110000110"), seq("011001001100")
+        v = baseline_direction("etce", x, y)
+        assert v.score_xy > v.score_yx
+        assert v.verdict == Direction.X_CAUSES_Y
+        assert baseline_direction("etce", y, x).verdict == Direction.Y_CAUSES_X
+
+    @given(
+        st.sampled_from(("lzp", "etcp", "etce")),
+        symbol_tuples(min_size=2, max_size=40),
+        symbol_tuples(min_size=2, max_size=40),
+    )
+    def test_verdict_follows_scores(self, method, xs, ys):
+        n = min(len(xs), len(ys))
+        v = baseline_direction(method, SymbolSequence(xs[:n], 2), SymbolSequence(ys[:n], 2))
+        gap = v.score_xy - v.score_yx
+        if method == "etce":
+            gap = -gap  # efficacy: the higher score wins
+        if abs(gap) <= 1e-12:
+            assert v.verdict == Direction.INDEPENDENT
+        else:
+            assert v.verdict == (Direction.X_CAUSES_Y if gap < 0 else Direction.Y_CAUSES_X)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from dpe import bench
+from dpe import bench, cli
 from dpe.bench import (
     PredatorPreyResult,
     emit_results,
@@ -353,3 +353,23 @@ class TestCli:
         assert proc.returncode == 1
         assert f"{tmp_path / 'two.fasta'}: expected one FASTA record, found 2" in proc.stderr
         assert not (tmp_path / "genomic.csv").exists()
+
+
+class TestBenchSpecValues:
+    def _bench(self, tmp_path, family, param, values, length):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(
+            f"family={family}\nparam={param}\nvalues={values}\n"
+            f"length={length}\ndrop=0\ntrials=1\nseed=3\n"
+        )
+        return cli.main(["bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")])
+
+    def test_sparse_k_above_length_exits_1(self, tmp_path, capsys):
+        assert self._bench(tmp_path, "sparse", "k", "20", 10) == 1
+        assert "error: sparsity k=20 exceeds the series length 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, param", (("delay_bitflip", "delay"), ("sparse", "k")))
+    def test_fractional_value_exits_1(self, tmp_path, capsys, family, param):
+        assert self._bench(tmp_path, family, param, "2.5", 100) == 1
+        assert f"error: {family} needs a whole-number parameter value, got 2.5" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()

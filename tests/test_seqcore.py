@@ -13,6 +13,7 @@ from dpe.errors import (
     UnusablePairError,
 )
 from dpe.seqcore import (
+    Direction,
     MaskedSequence,
     RealSeries,
     SymbolSequence,
@@ -298,3 +299,21 @@ class TestAlignPair:
     def test_outputs_equal_length(self, xs, ys):
         pair = align_pair(SymbolSequence(tuple(xs), 4), SymbolSequence(tuple(ys), 4))
         assert len(pair.x) == len(pair.y) == min(len(xs), len(ys))
+
+
+class TestLowerWins:
+    def test_within_tolerance_ties(self):
+        assert Direction.lower_wins(0.0, 1e-12) == Direction.INDEPENDENT
+        assert Direction.lower_wins(1e-12, 0.0) == Direction.INDEPENDENT
+
+    def test_beyond_tolerance_decides(self):
+        assert Direction.lower_wins(0.0, 2e-12) == Direction.X_CAUSES_Y
+        assert Direction.lower_wins(2e-12, 0.0) == Direction.Y_CAUSES_X
+
+    def test_infinite_score_loses(self):
+        assert Direction.lower_wins(float("inf"), 5.0) == Direction.Y_CAUSES_X
+        assert Direction.lower_wins(5.0, float("inf")) == Direction.X_CAUSES_Y
+
+    def test_negated_scores_let_the_higher_win(self):
+        assert Direction.lower_wins(-0.75, -0.5) == Direction.X_CAUSES_Y
+        assert Direction.lower_wins(-0.5, -0.75) == Direction.Y_CAUSES_X

@@ -164,6 +164,10 @@ class TestSparse:
         with pytest.raises(InputError):
             gen_sparse(51, RngStream(0))
 
+    def test_k_above_length_is_an_input_error(self):
+        with pytest.raises(InputError, match="k=20 exceeds the series length 10"):
+            gen_sparse(20, RngStream(0), n=10)
+
 
 class TestTrialSpec:
     def test_config_roundtrip(self):
@@ -191,3 +195,9 @@ class TestTrialSpec:
         ):
             pair = generate_trial(family, value, length, drop, RngStream(1, 0))
             assert len(pair.x) == len(pair.y)
+
+    @pytest.mark.parametrize("family", ("delay_bitflip", "sparse"))
+    @pytest.mark.parametrize("value", (2.5, math.inf, math.nan))
+    def test_whole_number_families_reject_fractions(self, family, value):
+        with pytest.raises(InputError, match=f"got {value}"):
+            generate_trial(family, value, 2000, 0, RngStream(1, 0))
