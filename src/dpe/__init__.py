@@ -4,6 +4,7 @@ from .baselines import (
     BaselineVerdict,
     ComplexityValue,
     baseline_direction,
+    baseline_verdicts,
     etc_complexity,
     joint_sequence,
     lz76_complexity,

@@ -153,6 +153,14 @@ def etc_complexity(s: SymbolSequence) -> ComplexityValue:
     date from step to step (as in Re-Pair, Larsson and Moffat 2000) and the
     most frequent pair comes from a lazy heap; code-point order is symbol
     order, so the tie-break is unchanged.
+
+    Once the most frequent pair occurs only once and the text is not
+    constant, the remaining step count is known: ``len(text) - 1``. Every
+    pair then occurs once, so a step replaces one occurrence with a fresh
+    symbol that occurs once. The only pairs it creates hold that symbol, so
+    they also occur once and the top count stays 1. Each step thus shortens
+    the text by exactly one symbol, and a text holding a symbol that occurs
+    once is never constant again, so the loop stops at length 1.
     """
     if len(s) < 1:
         raise ValueError("ETC needs a non-empty sequence")
@@ -178,6 +186,9 @@ def etc_complexity(s: SymbolSequence) -> ComplexityValue:
                 heapq.heappop(heap)
         if count == len(text) - 1 and pair[0] == pair[1]:
             break  # one pair fills every position: the text is constant
+        if count == 1:  # every pair is unique from here on (see above)
+            steps += len(text) - 1
+            break
         symbol = chr(fresh)
         fresh += 1
         steps += 1
@@ -211,16 +222,8 @@ def joint_sequence(x: SymbolSequence, y: SymbolSequence) -> SymbolSequence:
     return SymbolSequence(label[inverse].tobytes(), max(len(first), 1))
 
 
-def baseline_direction(method: str, x: SymbolSequence, y: SymbolSequence) -> BaselineVerdict:
-    """Directional verdict of one baseline method (documented variant)."""
-    if method not in BASELINE_METHODS:
-        raise InputError(f"unknown baseline method {method!r}")
-    if len(x) != len(y) or len(x) < 2:
-        raise InputError("baselines need equal lengths >= 2")
-    measure = lz76_complexity if method == "lzp" else etc_complexity
-    c_joint = measure(joint_sequence(x, y)).raw
-    c_x = measure(x).raw
-    c_y = measure(y).raw
+def _verdict(method: str, c_joint: int, c_x: int, c_y: int) -> BaselineVerdict:
+    """The lzp/etcp/etce rule applied to C(joint), C(x) and C(y)."""
     penalty_xy = float(c_joint - c_x)
     penalty_yx = float(c_joint - c_y)
     if method in ("lzp", "etcp"):
@@ -233,3 +236,33 @@ def baseline_direction(method: str, x: SymbolSequence, y: SymbolSequence) -> Bas
     score_yx = (c_x - penalty_yx) / c_x
     verdict = Direction.lower_wins(-score_xy, -score_yx)  # the higher efficacy wins
     return BaselineVerdict(method, verdict, score_xy, score_yx)
+
+
+def baseline_verdicts(
+    methods: tuple[str, ...], x: SymbolSequence, y: SymbolSequence
+) -> dict[str, BaselineVerdict]:
+    """Verdicts of several baseline methods on one pair, keyed in the given order.
+
+    The pair is validated and its joint sequence built once, and each
+    measure's C(joint), C(x) and C(y) are computed once, however many of the
+    methods use them (etcp and etce share the ETC counts).
+    """
+    for method in methods:
+        if method not in BASELINE_METHODS:
+            raise InputError(f"unknown baseline method {method!r}")
+    if len(x) != len(y) or len(x) < 2:
+        raise InputError("baselines need equal lengths >= 2")
+    joint = joint_sequence(x, y)
+    counts = {}  # measure -> (C(joint), C(x), C(y))
+    verdicts = {}
+    for method in methods:
+        measure = lz76_complexity if method == "lzp" else etc_complexity
+        if measure not in counts:
+            counts[measure] = tuple(measure(s).raw for s in (joint, x, y))
+        verdicts[method] = _verdict(method, *counts[measure])
+    return verdicts
+
+
+def baseline_direction(method: str, x: SymbolSequence, y: SymbolSequence) -> BaselineVerdict:
+    """Directional verdict of one baseline method (documented variant)."""
+    return baseline_verdicts((method,), x, y)[method]

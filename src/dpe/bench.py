@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .baselines import BASELINE_METHODS, baseline_direction
+from .baselines import BASELINE_METHODS, baseline_verdicts
 from .core import CausalReport, infer_causal_direction
 from .errors import DegenerateSeriesWarning, InputError, UnusablePairError
 from .rng import RngStream
@@ -63,14 +63,15 @@ def _run_single_trial(
         pair = generate_trial(spec.family, value, spec.length, spec.drop, rng)
     verdicts: dict[str, Direction] = {}
     hbar_xy = hbar_yx = None
-    for method in methods:
-        if method == "dpe":
-            report = infer_causal_direction(pair.x, pair.y)
-            verdicts[method] = report.verdict
-            hbar_xy = report.score_xy.h_bar
-            hbar_yx = report.score_yx.h_bar
-        else:
-            verdicts[method] = baseline_direction(method, pair.x, pair.y).verdict
+    if "dpe" in methods:
+        report = infer_causal_direction(pair.x, pair.y)
+        verdicts["dpe"] = report.verdict
+        hbar_xy = report.score_xy.h_bar
+        hbar_yx = report.score_yx.h_bar
+    baselines = tuple(m for m in methods if m != "dpe")
+    if baselines:
+        for method, v in baseline_verdicts(baselines, pair.x, pair.y).items():
+            verdicts[method] = v.verdict
     return TrialOutcome(pair.ground_truth, verdicts, hbar_xy, hbar_yx)
 
 

@@ -65,6 +65,8 @@ class TrialSpec:
             raise InputError("trials must be >= 1")
         if self.length <= self.drop:
             raise InputError("length must exceed the number of dropped transients")
+        for value in self.values:  # reject a bad battery before any trial runs
+            check_trial_value(self.family, value, self.length, self.drop)
 
     def to_config(self) -> str:
         """Flat key=value block, one entry per line."""
@@ -111,6 +113,33 @@ class TrialSpec:
         return replace(self, trials=trials)
 
 
+def check_trial_value(family: str, value: float, length: int, drop: int) -> None:
+    """Raise InputError unless ``value`` is a valid parameter of ``family``.
+
+    ``family`` is one of FAMILIES; ``length`` and ``drop`` are the trial's
+    sizes (``length`` is the series length n of sparse). ``TrialSpec`` checks
+    every swept value with it, and each generator checks its own arguments.
+    """
+    if family in ("delay_bitflip", "sparse") and not float(value).is_integer():
+        raise InputError(f"{family} needs a whole-number parameter value, got {value}")
+    if family == "delay_bitflip":
+        if length < 8:
+            raise InputError("delayed bit-flip needs length >= 8")
+        if not 0 <= value <= 6:
+            raise InputError("delay must lie in [0, 6]")
+    elif family == "sparse":
+        if not 1 <= value <= 50:
+            raise InputError("sparsity k must lie in [1, 50]")
+        if value > length:
+            raise InputError(f"sparsity k={int(value)} exceeds the series length {length}")
+    elif family == "ar1" and not 0 <= value < 1:
+        raise InputError("phi must lie in [0, 1)")
+    elif family == "skew_tent" and not 0 <= value <= 0.9:
+        raise InputError("eta must lie in [0, 0.9]")
+    if family in ("ar1", "skew_tent") and length <= drop:
+        raise InputError("length must exceed drop")
+
+
 def delayed_flip_indicator(x_symbols: tuple[int, ...], delay_k: int) -> tuple[int, ...]:
     """y_i = 1 iff the trigger pattern ends at position i - delay_k (1-based)."""
     n = len(x_symbols)
@@ -125,10 +154,8 @@ def delayed_flip_indicator(x_symbols: tuple[int, ...], delay_k: int) -> tuple[in
 
 def gen_delayed_bitflip(length: int, delay_k: int, rng: RngStream) -> SequencePair:
     """Fair random bits X; Y flags trigger-pattern occurrences after a delay."""
-    if length < 8:
-        raise InputError("delayed bit-flip needs length >= 8")
-    if not 0 <= delay_k <= 6:
-        raise InputError("delay must lie in [0, 6]")
+    check_trial_value("delay_bitflip", delay_k, length, 0)
+    delay_k = int(delay_k)
     x_symbols = tuple(rng.bit() for _ in range(length))
     y_symbols = delayed_flip_indicator(x_symbols, delay_k)
     return SequencePair(
@@ -151,10 +178,7 @@ def gen_ar1(
     conditions; the first ``drop`` samples are discarded before equi-width
     binarization. Ground truth is y_causes_x, or independent when phi == 0.
     """
-    if not 0 <= phi < 1:
-        raise InputError("phi must lie in [0, 1)")
-    if length <= drop:
-        raise InputError("length must exceed drop")
+    check_trial_value("ar1", phi, length, drop)
     xs = [0.0] * length
     ys = [0.0] * length
     xprev = 0.0
@@ -187,10 +211,7 @@ def gen_skew_tent(eta: float, length: int, drop: int, rng: RngStream) -> Sequenc
     Initial conditions are uniform on (0, 1), the driver drawn first. Ground
     truth is x_causes_y (driver causes response), or independent at eta == 0.
     """
-    if not 0 <= eta <= 0.9:
-        raise InputError("eta must lie in [0, 0.9]")
-    if length <= drop:
-        raise InputError("length must exceed drop")
+    check_trial_value("skew_tent", eta, length, drop)
     d = rng.uniform()
     r = rng.uniform()
     ds = [0.0] * length
@@ -216,10 +237,8 @@ def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
     successors (within range). Both observations binarize via the nonzero
     indicator. Ground truth is x_causes_y.
     """
-    if not 1 <= k <= 50:
-        raise InputError("sparsity k must lie in [1, 50]")
-    if k > n:
-        raise InputError(f"sparsity k={k} exceeds the series length {n}")
+    check_trial_value("sparse", k, n, 0)
+    k = int(k)
     t1 = set(rng.sample_without_replacement(n, k))  # 0-based instants
     t2 = {t + 1 for t in t1 if t + 1 < n}
     z1_latent = 0.0
@@ -242,14 +261,12 @@ def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
 
 def generate_trial(family: str, value: float, length: int, drop: int, rng: RngStream) -> SequencePair:
     """Dispatch one trial of any family; ``value`` is the swept parameter."""
-    if family in ("delay_bitflip", "sparse") and not float(value).is_integer():
-        raise InputError(f"{family} needs a whole-number parameter value, got {value}")
     if family == "delay_bitflip":
-        return gen_delayed_bitflip(length, int(value), rng)
+        return gen_delayed_bitflip(length, value, rng)
     if family == "ar1":
         return gen_ar1(value, length, drop, rng)
     if family == "skew_tent":
         return gen_skew_tent(value, length, drop, rng)
     if family == "sparse":
-        return gen_sparse(int(value), rng, n=length)
+        return gen_sparse(value, rng, n=length)
     raise InputError(f"unknown family {family!r}")

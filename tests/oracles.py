@@ -2,17 +2,19 @@
 
 Everything operates on plain tuples of ints via position-by-position scans
 and nested loops; deliberately slow and obviously correct. The two
-compression baselines take a ``SymbolSequence`` like the functions they check.
+compression baselines and the baseline verdict take ``SymbolSequence`` values
+like the functions they check.
 The ingest oracles read FASTA one character at a time and align through an
 index list, giving plain tuples back.
 """
 
 import math
+from collections import Counter
 from pathlib import Path
 
-from dpe.baselines import ComplexityValue
+from dpe.baselines import BaselineVerdict, ComplexityValue
 from dpe.errors import FastaParseError, InputError, UnusablePairError
-from dpe.seqcore import NUCLEOTIDE_TO_SYMBOL, MaskedSequence
+from dpe.seqcore import NUCLEOTIDE_TO_SYMBOL, Direction, MaskedSequence, SymbolSequence
 
 
 def naive_flips(symbols):
@@ -183,6 +185,20 @@ def naive_etc(s):
     return ComplexityValue(steps, normalized)
 
 
+def naive_etc_tail(s):
+    """ETC's text when its top pair count first falls to 1, or None if it never does."""
+    seq = list(s.symbols)
+    fresh = max(seq) + 1
+    while len(seq) > 1:
+        if max(Counter(zip(seq, seq[1:])).values()) == 1:
+            return tuple(seq)
+        if all(v == seq[0] for v in seq):
+            return None  # constant with a repeated pair: ETC stops here
+        seq = _substitute(seq, _most_frequent_pair(seq), fresh)
+        fresh += 1
+    return None
+
+
 def naive_joint(xs, ys):
     """(labels, distinct states): each (x_t, y_t) state labelled in order of first appearance."""
     labels = {}
@@ -194,6 +210,26 @@ def naive_joint(xs, ys):
             labels[pair] = code
         symbols.append(code)
     return tuple(symbols), len(labels)
+
+
+def naive_baseline(method, x, y):
+    """BaselineVerdict of lzp, etcp or etce from the naive joint, LZ76 and ETC counts."""
+    labels, states = naive_joint(x.symbols, y.symbols)
+    joint = SymbolSequence(labels, max(states, 1))
+    measure = naive_lz76 if method == "lzp" else naive_etc
+    c_joint, c_x, c_y = (measure(s).raw for s in (joint, x, y))
+    score_xy, score_yx = float(c_joint - c_x), float(c_joint - c_y)  # penalties
+    gap = score_xy - score_yx  # lzp, etcp: the lower penalty wins
+    if method == "etce":
+        if c_x == 0 or c_y == 0:
+            return BaselineVerdict(method, Direction.INDEPENDENT, 0.0, 0.0, degenerate=True)
+        score_xy, score_yx = (c_y - score_xy) / c_y, (c_x - score_yx) / c_x  # efficacies
+        gap = score_yx - score_xy  # the higher efficacy wins
+    if abs(gap) <= 1e-12:
+        verdict = Direction.INDEPENDENT
+    else:
+        verdict = Direction.X_CAUSES_Y if gap < 0 else Direction.Y_CAUSES_X
+    return BaselineVerdict(method, verdict, score_xy, score_yx)
 
 
 def naive_load_fasta(path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -5,14 +7,16 @@ import hypothesis.strategies as st
 from conftest import symbol_tuples
 from dpe import baselines, cli
 from dpe.baselines import (
+    BASELINE_METHODS,
     baseline_direction,
+    baseline_verdicts,
     etc_complexity,
     joint_sequence,
     lz76_complexity,
 )
 from dpe.errors import InputError
 from dpe.seqcore import Direction, SymbolSequence
-from oracles import naive_etc, naive_joint, naive_lz76
+from oracles import naive_baseline, naive_etc, naive_etc_tail, naive_joint, naive_lz76
 
 
 def seq(text):
@@ -105,12 +109,19 @@ class TestEtcUpdatePaths:
 
     def test_step_replacing_a_small_share_patches(self, monkeypatch):
         paths = etc_paths(monkeypatch)
-        s = SymbolSequence(tuple(range(200)), 256)
+        # (0, 1) occurs three times and (5, 6) twice in 206 symbols; every
+        # other pair, and every pair left after those two steps, occurs once
+        repeats = (0, 1, 2, 0, 1, 3, 0, 1, 4, 5, 6, 7, 5, 6, 8)
+        s = SymbolSequence(repeats + tuple(range(9, 200)), 256)
         assert etc_complexity(s) == naive_etc(s)
-        # every pair occurs once, so each step replaces one pair, which is a
-        # large enough share to recount only once the text is that short
-        short = baselines._RECOUNT_SHARE
-        assert paths == ["count"] + ["patch"] * (200 - short) + ["count"] * (short - 1)
+        assert paths == ["count", "patch", "patch"]
+
+    def test_all_distinct_pairs_are_one_count_and_the_tail(self, monkeypatch):
+        paths = etc_paths(monkeypatch)
+        s = SymbolSequence(tuple(range(200)), 256)
+        value = etc_complexity(s)
+        assert value == naive_etc(s) and value.raw == 199
+        assert paths == ["count"]
 
     @pytest.mark.parametrize("length, path", [(2 * baselines._RECOUNT_SHARE, "count"),
                                               (2 * baselines._RECOUNT_SHARE + 1, "patch")])
@@ -127,6 +138,44 @@ class TestEtcUpdatePaths:
             for share in (0, 1 << 40):  # patch every step, then recount every step
                 mp.setattr(baselines, "_RECOUNT_SHARE", share)
                 assert etc_complexity(s) == naive_etc(s)
+
+
+@st.composite
+def doubled_run(draw, extra):
+    """r1 m m r2: distinct symbols, with m repeated and ``extra`` symbols in r1 r2.
+
+    The two copies of m shrink in step until each is one symbol a, so ETC's
+    top pair count first falls to 1 on r1 a a r2, at length 2 + extra.
+    """
+    symbols = draw(st.permutations(range(256)))
+    k = draw(st.integers(1, 40))
+    m, r = symbols[:k], symbols[k : k + extra]
+    split = draw(st.integers(0, extra))
+    return SymbolSequence(tuple(r[:split] + m + m + r[split:]), 256)
+
+
+class TestEtcTail:
+    """Inputs whose pairs all become unique at a chosen text length."""
+
+    @given(doubled_run(extra=0))
+    def test_tail_at_two_constant(self, s):
+        tail = naive_etc_tail(s)
+        assert len(tail) == 2 and tail[0] == tail[1]
+        assert etc_complexity(s) == naive_etc(s)
+
+    @given(st.lists(st.integers(0, 255), min_size=2, max_size=2, unique=True))
+    def test_tail_at_two_distinct(self, symbols):
+        s = SymbolSequence(tuple(symbols), 256)  # only an input can be a b
+        assert naive_etc_tail(s) == tuple(symbols)
+        assert etc_complexity(s).raw == naive_etc(s).raw == 1
+
+    @pytest.mark.parametrize("low, high", ((1, 1), (2, 60)))
+    @given(data=st.data())
+    def test_tail_at_three_and_longer(self, low, high, data):
+        extra = data.draw(st.integers(low, high))
+        s = data.draw(doubled_run(extra))
+        assert len(naive_etc_tail(s)) == 2 + extra
+        assert etc_complexity(s) == naive_etc(s)
 
 
 class TestEtcCodePointRange:
@@ -297,6 +346,53 @@ class TestBaselineDirection:
             Direction.INDEPENDENT: Direction.INDEPENDENT,
         }
         assert rev.verdict == mirrored[fwd.verdict]
+
+
+ORDERED_SUBSETS = [
+    methods for r in range(1, len(BASELINE_METHODS) + 1)
+    for methods in itertools.permutations(BASELINE_METHODS, r)
+]
+
+
+@st.composite
+def equal_length_pairs(draw):
+    alphabet = draw(st.sampled_from((1, 2, 4)))
+    xs = draw(symbol_tuples(min_size=2, max_size=80, alphabet=alphabet))
+    ys = draw(symbol_tuples(min_size=len(xs), max_size=len(xs), alphabet=alphabet))
+    return SymbolSequence(xs, alphabet), SymbolSequence(ys, alphabet)
+
+
+class TestBaselineVerdicts:
+    """One joint sequence and one complexity per (measure, sequence) per call."""
+
+    @pytest.mark.parametrize("methods", ORDERED_SUBSETS)
+    @settings(max_examples=20)
+    @given(pair=equal_length_pairs())
+    def test_matches_naive_verdicts(self, methods, pair):
+        x, y = pair
+        verdicts = baseline_verdicts(methods, x, y)
+        assert list(verdicts) == list(methods)
+        assert verdicts == {m: naive_baseline(m, x, y) for m in methods}
+
+    def test_constant_x_makes_etce_degenerate(self):
+        x, y = SymbolSequence((1,) * 12, 2), seq("011010011100")
+        verdicts = baseline_verdicts(BASELINE_METHODS, x, y)
+        assert verdicts["etce"].degenerate
+        assert verdicts == {m: naive_baseline(m, x, y) for m in BASELINE_METHODS}
+
+    def test_each_complexity_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(baselines, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("joint_sequence", "lz76_complexity", "etc_complexity"):
+            monkeypatch.setattr(baselines, name, counted(name))
+        baseline_verdicts(("etce", "lzp", "etcp"), seq("01101001"), seq("00110011"))
+        assert sorted(calls) == (
+            ["etc_complexity"] * 3 + ["joint_sequence"] + ["lz76_complexity"] * 3
+        )
 
 
 class TestSharedVerdictRule:

@@ -63,6 +63,14 @@ class TestRunSweep:
         with pytest.raises(InputError):
             run_sweep(small_spec(), methods=("granger",))
 
+    @pytest.mark.parametrize("methods", (("lzp",), ("etce",), ("etce", "etcp"), ("dpe", "etcp")))
+    def test_method_subset_rows_match_an_all_methods_run(self, methods):
+        spec = small_spec(family="ar1", param_name="phi", values=(0.0, 0.6),
+                          length=400, drop=100, trials=3)
+        header, *every_row = results_csv_text(run_sweep(spec, bench.ALL_METHODS)).splitlines()
+        rows = results_csv_text(run_sweep(spec, methods)).splitlines()
+        assert rows == [header] + [row for row in every_row if row.split(",")[3] in methods]
+
 
 class SerialPool:
     """Stand-in for ProcessPoolExecutor: records max_workers, maps in-process."""
@@ -373,3 +381,10 @@ class TestBenchSpecValues:
         assert self._bench(tmp_path, family, param, "2.5", 100) == 1
         assert f"error: {family} needs a whole-number parameter value, got 2.5" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_bad_value_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(bench, "generate_trial", lambda *args: trials.append(args))
+        assert self._bench(tmp_path, "delay_bitflip", "delay", "1,2,2.5", 100) == 1
+        assert trials == []
+        assert "needs a whole-number parameter value, got 2.5" in capsys.readouterr().err
