@@ -96,11 +96,13 @@ def run_sweep(
     for m in methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}")
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     # with the fork start method the pool starts all its workers at once, so
     # ask for no more than there are cores, or (below) blocks to run
     workers = min(workers, os.cpu_count() or 1)
     blocks: list[tuple] = []
-    block_size = max(1, -(-spec.trials // max(1, workers * 4)))
+    block_size = -(-spec.trials // (workers * 4))  # trials >= 1
     for vi in range(len(spec.values)):
         for start in range(0, spec.trials, block_size):
             stop = min(start + block_size, spec.trials)

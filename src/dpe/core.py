@@ -34,7 +34,8 @@ MIN_PATTERN_LEN = 2
 
 #: Scratch budget of one vectorised step, in compared symbols: an extraction
 #: step compares ``_CHUNK // (w + 16)`` rows of w symbols, runs are merged
-#: ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8`` windows.
+#: ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8`` windows,
+#: in a dense table of at most ``_CHUNK`` entries when the key space fits.
 _CHUNK = 1 << 16
 
 LABEL_XY = "X->Y"
@@ -285,13 +286,47 @@ def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     return PatternSet(dictionary.direction, patterns)
 
 
+def _table_lookup(keys: np.ndarray, owners: np.ndarray, space: int):
+    """Window -> (owner of each hit, hit mask), by one gather from a dense table.
+
+    Of equal keys the first owner wins: it is written last.
+    """
+    table = np.full(space, -1, dtype=np.int32)
+    table[keys[::-1]] = owners[::-1]
+
+    def look(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        which = table[window]
+        hit = which >= 0
+        return which[hit], hit
+
+    return look
+
+
+def _sorted_lookup(keys: np.ndarray, owners: np.ndarray):
+    """Window -> (owner of each hit, hit mask), by binary search of the sorted keys.
+
+    Of equal keys the first owner wins: the sort is stable and the search leftmost.
+    """
+    order = np.argsort(keys, kind="stable")
+    ranked, owners = keys[order], owners[order]
+
+    def look(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
+        hit = ranked[at] == window
+        return owners[at[hit]], hit
+
+    return look
+
+
 def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """(occurrences, occurrences whose effect window flips) of each distinct pattern.
 
     A pattern is keyed at its first occurrence in the cause, so the cause's
-    block ids give exact keys. For each pattern length, the window key of
-    every cause position, a chunk at a time, is looked up among the sorted
-    pattern keys; overlapping occurrences all count.
+    block ids give exact keys; of equal patterns only the first is credited.
+    For each pattern length, the window key of every cause position, a chunk
+    at a time, is looked up in a dense table when the length's key space has
+    at most ``_CHUNK`` entries, and among the sorted pattern keys otherwise;
+    overlapping occurrences all count.
     """
     n = len(cause)
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
@@ -305,17 +340,18 @@ def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np
     prefix = np.concatenate(([0], np.cumsum(eff[1:] != eff[:-1])))  # flips before each index
     for length in sorted(set(lengths[found].tolist())):
         members = found[lengths[found] == length]
-        order = np.argsort(keys[members], kind="stable")
-        ranked = keys[members][order]
         k = length.bit_length() - 1
+        space = int(bound[k]) ** 2  # every window key of this length is below it
+        if space <= _CHUNK:
+            look = _table_lookup(keys[members], members, space)
+        else:
+            look = _sorted_lookup(keys[members], members)
         lag = length - (1 << k)  # window key from the blocks at s and s + lag, as in _content_keys
         for first in range(0, n - length + 1, _CHUNK // 8):
             last = min(first + _CHUNK // 8, n - length + 1)
             window = np.multiply(ids[k, first:last], bound[k], dtype=np.int64)
             window += ids[k, first + lag : last + lag]
-            at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
-            hit = ranked[at] == window
-            which = members[order[at[hit]]]
+            which, hit = look(window)
             flips = (prefix[first + length - 1 : last + length - 1] > prefix[first:last])[hit]
             n_occ += np.bincount(which, minlength=len(patterns))
             n_change += np.bincount(which[flips], minlength=len(patterns))

@@ -63,6 +63,11 @@ class TestRunSweep:
         with pytest.raises(InputError):
             run_sweep(small_spec(), methods=("granger",))
 
+    @pytest.mark.parametrize("workers", (0, -2))
+    def test_workers_below_one(self, workers):
+        with pytest.raises(InputError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(small_spec(), workers=workers)
+
     @pytest.mark.parametrize("methods", (("lzp",), ("etce",), ("etce", "etcp"), ("dpe", "etcp")))
     def test_method_subset_rows_match_an_all_methods_run(self, methods):
         spec = small_spec(family="ar1", param_name="phi", values=(0.0, 0.6),
@@ -381,6 +386,15 @@ class TestBenchSpecValues:
         assert self._bench(tmp_path, family, param, "2.5", 100) == 1
         assert f"error: {family} needs a whole-number parameter value, got 2.5" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_negative_workers_exit_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(bench, "generate_trial", lambda *args: trials.append(args))
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--family", "delay", "--trials", "1", "--workers", "-2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "error: workers must be >= 1, got -2" in capsys.readouterr().err
+        assert trials == [] and not out.exists()
 
     def test_bad_value_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
         trials = []
