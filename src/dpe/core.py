@@ -32,10 +32,11 @@ from .seqcore import VERDICT_TOLERANCE, Direction, SymbolSequence
 #: Dictionary segments and extracted patterns are never shorter than this.
 MIN_PATTERN_LEN = 2
 
-#: Scratch budget of one vectorised step, in compared symbols: an extraction
-#: step compares ``_CHUNK // (w + 16)`` rows of w symbols, runs are merged
-#: ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8`` windows,
-#: in a dense table of at most ``_CHUNK`` entries when the key space fits.
+#: Scratch budget of one vectorised step, in compared symbols: extraction
+#: keys about ``_CHUNK // 8`` windows of the longer segments at a time and
+#: compares ``_CHUNK // (w + 16)`` rows, w being the widest row's width; runs
+#: are merged ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8``
+#: windows, in a dense table of at most ``_CHUNK`` entries when the key space fits.
 _CHUNK = 1 << 16
 
 LABEL_XY = "X->Y"
@@ -195,50 +196,118 @@ def build_flip_dictionary(
     return FlipDictionary(direction, tuple(source.fragment(a, b) for a, b in spans))
 
 
-def _agreement_runs(data: bytes, lengths: np.ndarray, longest: int):
+def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``[first, first + count)``, concatenated."""
+    return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _first_windows(
+    ids: np.ndarray, bound: np.ndarray, offsets: np.ndarray, width: np.ndarray, seg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(start, width) of the first window in data of each distinct content of each width.
+
+    The windows are those of width ``width[i]`` in segment ``seg[i]``, the
+    pairs ordered by width and then segment, so the windows come in (width,
+    position) order, and so do the firsts.
+    """
+    spread = offsets[seg + 1] - offsets[seg] - width + 1
+    start, width = _ranges(offsets[seg], spread), np.repeat(width, spread)
+    keys = _content_keys(ids, bound, start, width)
+    order = np.argsort(keys, kind="stable")  # equal keys stay in (width, position) order
+    keys, ordered = keys[order], width[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (keys[1:] != keys[:-1]) | (ordered[1:] != ordered[:-1])
+    kept = np.sort(order[head])
+    return start[kept], width[kept]
+
+
+def _runs(windows: np.ndarray, short: np.ndarray, long: np.ndarray, w: np.ndarray):
+    """(row, begin, size) of each maximal run of length >= 2 where the first
+    ``w[r]`` symbols of ``windows[short[r]]`` and ``windows[long[r]]`` agree.
+
+    ``w`` is ascending: the last row is the widest.
+    """
+    width = int(w[-1])
+    agree = np.zeros((len(w), width + 2), dtype=bool)  # padded: every run starts and ends
+    agree[:, 1:-1] = windows[short, :width] == windows[long, :width]
+    agree[:, 1:-1] &= np.arange(width) < w[:, None]  # a row ends at its own width
+    edges = np.flatnonzero(agree[:, 1:] != agree[:, :-1])  # run starts and ends alternate
+    size = edges[1::2] - edges[::2]
+    run = size >= MIN_PATTERN_LEN
+    hits, begin = np.divmod(edges[::2][run], width + 1)
+    return hits, begin, size[run]
+
+
+def _agreement_runs(data: bytes, lengths: np.ndarray, ids: np.ndarray, bound: np.ndarray):
     """Yield batches of (length, pair, start) rows, one per agreement run.
 
     For each segment pair i < j (``pair`` = i * count + j) the shorter segment,
     the earlier on a tie, slides over the longer at every full-overlap offset;
     every maximal agreement run of length >= 2 is located by ``start`` in
-    ``data``. Rows (pair, offset) are grouped by the shorter length w and
-    compared a chunk at a time. A pair's runs come out in extraction order.
+    ``data``. A segment u of width w is compared with each later segment of
+    width w, and with each distinct w-window of the strictly longer segments
+    only at its first position in ``data``: ``data`` holds the segments in
+    index order, so for u it orders the windows by (pair, offset), and a
+    window that repeats an earlier one adds no run whose content was not met
+    before. Widths go in ascending order, their windows are keyed about
+    ``_CHUNK // 8`` at a time, and the rows of all of them are compared a
+    chunk at a time. A pair's runs come out in extraction order.
     """
     count = len(lengths)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
     by_length = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[by_length]
+    longest = int(sorted_lengths[-2])
     windows = sliding_window_view(np.frombuffer(data + bytes(longest), dtype=np.uint8), longest)
+    low = int(np.searchsorted(sorted_lengths, MIN_PATTERN_LEN))
+    widths, group_starts = np.unique(sorted_lengths[low:], return_index=True)
+    group_starts += low
+    group_ends = np.append(group_starts[1:], count)
+    longer = count - group_ends  # segments strictly longer than each width
+    tails = np.append(np.cumsum(sorted_lengths[::-1])[::-1], 0)
+    window_ends = np.cumsum(tails[group_ends] - longer * (widths - 1))
     pending: list[np.ndarray] = []
     found = 0
-    group = int(np.searchsorted(sorted_lengths, MIN_PATTERN_LEN))
-    while group < count - 1:
-        w = int(sorted_lengths[group])
-        end = int(np.searchsorted(sorted_lengths, w, side="right"))
-        # the rows of each short u in [group, end) are the w-windows of every later v > u
-        window_ends = np.concatenate(([0], np.cumsum(sorted_lengths[group + 1 :] - w + 1)))
-        row_ends = np.concatenate(([0], np.cumsum(window_ends[-1] - window_ends[: end - group])))
-        step = max(1, _CHUNK // (w + 16))
-        for first in range(0, int(row_ends[-1]), step):
-            row = np.arange(first, min(first + step, int(row_ends[-1])))
-            u = np.searchsorted(row_ends, row, side="right") - 1
-            win = window_ends[u] + row - row_ends[u]
-            v = np.searchsorted(window_ends, win, side="right") - 1
-            short, long = by_length[group + u], by_length[group + 1 + v]
-            at = offsets[long] + win - window_ends[v]
-            agree = np.zeros((len(row), w + 2), dtype=bool)  # padded: every run starts and ends
-            agree[:, 1:-1] = windows[offsets[short], :w] == windows[at, :w]
-            edges = np.flatnonzero(agree[:, 1:] != agree[:, :-1])  # run starts and ends alternate
-            size = edges[1::2] - edges[::2]
-            run = size >= MIN_PATTERN_LEN
-            hits, begin = np.divmod(edges[::2][run], w + 1)
-            pair = np.minimum(short, long)[hits] * count + np.maximum(short, long)[hits]
-            pending.append(np.stack((size[run], pair, at[hits] + begin)))
+    ga = 0
+    while ga < len(widths):
+        before = int(window_ends[ga - 1]) if ga else 0
+        gb = max(ga + 1, int(np.searchsorted(window_ends, before + _CHUNK // 8, side="right")))
+        # each width in [ga, gb) with each longer segment, by width and then index
+        group = np.repeat(np.arange(ga, gb), longer[ga:gb])
+        pairs = np.sort(group * count + by_length[_ranges(group_ends[ga:gb], longer[ga:gb])])
+        start, width = _first_windows(ids, bound, offsets, widths[pairs // count], pairs % count)
+        group = np.searchsorted(widths, width) - ga
+        # each width's partners are its members, then its distinct windows;
+        # a member faces the partners after its own place
+        n_members = group_ends[ga:gb] - group_starts[ga:gb]
+        n_windows = np.bincount(group, minlength=gb - ga)
+        members = by_length[group_starts[ga] : group_ends[gb - 1]]
+        member_group = np.repeat(np.arange(gb - ga), n_members)
+        own = np.arange(len(members)) + (np.cumsum(n_windows) - n_windows)[member_group]
+        place = np.arange(len(start)) + np.cumsum(n_members)[group]
+        partner_start = np.empty(len(own) + len(place), dtype=np.int64)
+        partner_start[own], partner_start[place] = offsets[members], start
+        row_ends = np.append(0, np.cumsum(np.cumsum(n_members + n_windows)[member_group] - own - 1))
+        member_width = lengths[members]
+        room = np.maximum(1, _CHUNK // (member_width + 16))  # rows of each member's width per chunk
+        first, total = 0, int(row_ends[-1])
+        while first < total:
+            # rows come by width: size the chunk by its first row, then by its last and widest
+            last = min(total, first + int(room[np.searchsorted(row_ends, first, side="right") - 1]))
+            last = min(last, first + int(room[np.searchsorted(row_ends, last - 1, side="right") - 1]))
+            row = np.arange(first, last)
+            t = np.searchsorted(row_ends, row, side="right") - 1
+            at = partner_start[own[t] + 1 + row - row_ends[t]]
+            hits, begin, size = _runs(windows, partner_start[own[t]], at, member_width[t])
+            short, long = members[t[hits]], np.searchsorted(offsets, at[hits], side="right") - 1
+            pair = np.minimum(short, long) * count + np.maximum(short, long)
+            pending.append(np.stack((size, pair, at[hits] + begin)))
             found += len(hits)
             if found >= _CHUNK // 32:
                 yield np.concatenate(pending, axis=1)
                 pending, found = [], 0
-        group = end
+            first = last
+        ga = gb
     if pending:
         yield np.concatenate(pending, axis=1)
 
@@ -256,7 +325,7 @@ def _pattern_bytes(segment_data: list[bytes]) -> list[bytes]:
         return []
     ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), longest)
     table = np.zeros((4, 0), dtype=np.int64)  # rows: length, key, pair, start
-    for size, pair, start in _agreement_runs(data, lengths, longest):
+    for size, pair, start in _agreement_runs(data, lengths, ids, bound):
         keyed = np.stack((size, _content_keys(ids, bound, start, size), pair, start))
         table = np.concatenate((table, keyed), axis=1)
         table = table[:, _first_by_content(*table[:3])]

@@ -2,7 +2,14 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, max_examples=60)
-settings.load_profile("suite")
+# deeper fuzz of the kernels: pytest tests/test_kernels.py --hypothesis-profile=deep
+settings.register_profile("deep", deadline=None, max_examples=500)
+
+
+def pytest_configure(config):
+    # a profile chosen with --hypothesis-profile wins over the suite's default
+    if not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("suite")
 
 
 def symbol_tuples(min_size=2, max_size=40, alphabet=2):

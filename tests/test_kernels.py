@@ -10,6 +10,7 @@ Counting looks windows up in a dense table when a length's key space fits
 the chunk budget and by binary search otherwise; both sides are checked.
 """
 
+import hashlib
 import random
 import tracemalloc
 from unittest import mock
@@ -28,6 +29,7 @@ from oracles import (
 from dpe import core
 from dpe.core import (
     build_flip_dictionary,
+    build_pattern_set,
     extract_common_subpatterns,
     response_determinism,
     score_direction,
@@ -39,9 +41,9 @@ CHUNKS = st.sampled_from(BUDGETS)
 
 
 @st.composite
-def palettes(draw):
+def palettes(draw, most=3):
     alphabet = draw(st.sampled_from((2, 4, 256)))
-    palette = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3, unique=True))
+    palette = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=most, unique=True))
     return alphabet, palette
 
 
@@ -108,6 +110,41 @@ class TestExtractionOrder:
             segments = [run[:33] + b"\x01", run[:50], b"\x01" + run[:64], run[:5] + b"\x01" + run[:40]]
             segments = [bytes(s % alphabet for s in seg) for seg in segments]
             assert core._pattern_bytes(segments) == naive_pattern_order(segments)
+
+
+@st.composite
+def crowded_segment_lists(draw):
+    # one or two symbols and short segments: widths have many members and windows repeat
+    _, palette = draw(palettes(most=2))
+    return draw(st.lists(words(palette, max_size=12), max_size=25))
+
+
+def check_every_budget(segments, want=None):
+    want = naive_pattern_order(segments) if want is None else want
+    assert want == naive_pattern_order(segments)
+    for chunk in BUDGETS:
+        with mock.patch.object(core, "_CHUNK", chunk):
+            assert core._pattern_bytes(segments) == want
+
+
+class TestExtractionRows:
+    """A segment meets each distinct window of the longer segments once, at its first place."""
+
+    def test_first_holder_in_data_is_the_longer_one(self):
+        # "abqr" is a window of both longer segments: the first in data is the
+        # longest, so "ab" comes from the pair (0, 2) and before its "cd"
+        check_every_budget([b"abqrstcd", b"abqrmn", b"abcd"], [b"abqr", b"ab", b"cd"])
+
+    def test_equal_length_segments_are_windows_of_longer_ones(self):
+        # the members "abcx" and "abcd" recur as windows before and after them in data
+        check_every_budget([b"abcd", b"pqabcx", b"abcx", b"zabcd", b"abzz", b"qabczz"])
+
+    def test_content_only_in_an_equal_length_partner(self):
+        check_every_budget([b"abcd", b"mnopqrst", b"abce", b"mnop"], [b"abc", b"mnop"])
+
+    @given(crowded_segment_lists())
+    def test_crowded_widths_match_ordered_oracle(self, segments):
+        check_every_budget(segments)
 
 
 class TestDictionaryOrder:
@@ -272,9 +309,9 @@ class TestScoreDirection:
 
 
 def test_long_few_flip_input_stays_within_a_memory_cap():
-    # segments of 2002, 5000 and 4998 symbols: 12 million compared symbols;
-    # the agreement matrix of the longest pair alone would take 6 MB, and
-    # each of its padded and differenced copies as much again
+    # segments of 2002, 5000 and 4998 symbols; the 251-periodic cause leaves
+    # at most 251 distinct 2002-windows in the longer two, so about half a
+    # million symbols are compared (12 million with every window)
     n = 12_000
     cause = [0] * n
     for k in range(0, n, 251):
@@ -288,6 +325,33 @@ def test_long_few_flip_input_stays_within_a_memory_cap():
     finally:
         tracemalloc.stop()
     assert len(score.pattern_scores) == 249
+    assert peak < 4 * 1024 * 1024
+
+
+@pytest.mark.parametrize(
+    "gaps, n_patterns, digest",
+    (
+        # 1,498 segments of 20 symbols after one of 21: nearly every row pairs equal widths
+        ((20,), 4103, "9f020fc520d76f0c708b5df24fa123da2e0b7364ecfa81a653ba383d6abde634"),
+        # 731 segments of 20 symbols face the 1,464 20-windows of 732 segments of 21
+        ((20, 21), 4929, "a67657e77757d24ee6fa7c2a1d595c71afaf46ae13524ab0a0be839d4c1ebaf3"),
+    ),
+)
+def test_many_short_segments_stay_within_a_memory_cap(gaps, n_patterns, digest):
+    # about a million rows of 20 symbols: compared at once, they would take tens of MB
+    rng = random.Random(5)
+    n = 30_000
+    cause = bytes(rng.randrange(2) for _ in range(n))
+    effect = b"".join(bytes([k % 2]) * gaps[k % len(gaps)] for k in range(n // 20))[:n]
+    dictionary = build_flip_dictionary(SymbolSequence(cause, 2), SymbolSequence(effect, 2))
+    tracemalloc.start()
+    try:
+        patterns = build_pattern_set(dictionary).patterns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(patterns) == n_patterns
+    assert hashlib.sha256(b"|".join(p.data for p in patterns)).hexdigest() == digest
     assert peak < 4 * 1024 * 1024
 
 
