@@ -8,7 +8,8 @@ single-sequence complexities, with
     efficacy(cause -> effect) = (C(effect) - penalty) / C(effect)  (higher wins)
 
 LZP uses LZ76 phrase counts, ETCP and ETCE use pair-substitution counts. Raw
-integer counts enter the formulas; normalized values are reported alongside.
+integer counts enter the formulas; normalized values are returned in
+``ComplexityValue.normalized``.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .baselines import BASELINE_METHODS, baseline_verdicts
@@ -54,10 +55,9 @@ class TrialOutcome:
     hbar_yx: float | None
 
 
-def _run_single_trial(
-    spec: TrialSpec, value: float, global_ordinal: int, methods: tuple[str, ...]
-) -> TrialOutcome:
-    rng = RngStream(spec.seed, stream_index=global_ordinal)
+def _run_single_trial(spec: TrialSpec, methods: tuple[str, ...], ordinal: int) -> TrialOutcome:
+    rng = RngStream(spec.seed, stream_index=ordinal)
+    value = spec.values[ordinal // spec.trials]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateSeriesWarning)
         pair = generate_trial(spec.family, value, spec.length, spec.drop, rng)
@@ -75,13 +75,9 @@ def _run_single_trial(
     return TrialOutcome(pair.ground_truth, verdicts, hbar_xy, hbar_yx)
 
 
-def _run_trial_block(args) -> list[TrialOutcome]:
-    spec, value_index, start, stop, methods = args
-    value = spec.values[value_index]
-    return [
-        _run_single_trial(spec, value, value_index * spec.trials + t, methods)
-        for t in range(start, stop)
-    ]
+def _mean(values: list[float | None]) -> float | None:
+    finite = [v for v in values if v is not None]
+    return sum(finite) / len(finite) if finite else None
 
 
 def run_sweep(
@@ -96,24 +92,21 @@ def run_sweep(
     for m in methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}")
+        if methods.count(m) > 1:
+            raise InputError(f"method {m!r} is listed more than once")
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
+    n_trials = len(spec.values) * spec.trials
     # with the fork start method the pool starts all its workers at once, so
-    # ask for no more than there are cores, or (below) blocks to run
-    workers = min(workers, os.cpu_count() or 1)
-    blocks: list[tuple] = []
-    block_size = -(-spec.trials // (workers * 4))  # trials >= 1
-    for vi in range(len(spec.values)):
-        for start in range(0, spec.trials, block_size):
-            stop = min(start + block_size, spec.trials)
-            blocks.append((spec, vi, start, stop, tuple(methods)))
-    workers = min(workers, len(blocks))
+    # ask for no more than there are cores or trials to run
+    workers = min(workers, os.cpu_count() or 1, n_trials)
+    trial = partial(_run_single_trial, spec, methods)
     if workers <= 1:
-        produced = [_run_trial_block(b) for b in blocks]
+        ordered = list(map(trial, range(n_trials)))
     else:
+        chunksize = -(-spec.trials // (4 * workers))  # trials >= 1
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            produced = list(pool.map(_run_trial_block, blocks))
-    ordered = [outcome for block in produced for outcome in block]  # by trial ordinal
+            ordered = list(pool.map(trial, range(n_trials), chunksize=chunksize))
 
     results: list[SweepResult] = []
     for vi, value in enumerate(spec.values):
@@ -125,12 +118,8 @@ def run_sweep(
             )
             mean_xy = mean_yx = None
             if method == "dpe":
-                finite_xy = [o.hbar_xy for o in outcomes if o.hbar_xy is not None]
-                finite_yx = [o.hbar_yx for o in outcomes if o.hbar_yx is not None]
-                if finite_xy:
-                    mean_xy = sum(finite_xy) / len(finite_xy)
-                if finite_yx:
-                    mean_yx = sum(finite_yx) / len(finite_yx)
+                mean_xy = _mean([o.hbar_xy for o in outcomes])
+                mean_yx = _mean([o.hbar_yx for o in outcomes])
             results.append(
                 SweepResult(
                     family=spec.family,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -21,6 +22,7 @@ from .seqcore import (
     binarize_nonzero,
     load_fasta,
     load_pair_csv,
+    read_text,
 )
 from .synth import FAMILY_DEFAULTS, TrialSpec
 
@@ -91,9 +93,9 @@ def cmd_infer(args) -> int:
 
 def _build_spec(args) -> TrialSpec:
     if args.spec:
-        spec = TrialSpec.from_config(Path(args.spec).read_text(encoding="utf-8"))
+        spec = TrialSpec.from_config(read_text(args.spec))
         if args.trials is not None:
-            spec = spec.with_trials(args.trials)
+            spec = replace(spec, trials=args.trials)
         return spec
     family = FAMILY_ALIASES[args.family]
     values, desk_trials, full_trials, param, length, drop = FAMILY_DEFAULTS[family]

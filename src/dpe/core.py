@@ -342,16 +342,14 @@ def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[
     if len(p1) == 0 or len(p2) == 0:
         raise ValueError("cannot extract patterns from an empty sequence")
     size = max(p1.alphabet_size, p2.alphabet_size)
-    return tuple(SymbolSequence.from_bytes(f, size) for f in _pattern_bytes([p1.data, p2.data]))
+    return tuple(SymbolSequence(f, size) for f in _pattern_bytes([p1.data, p2.data]))
 
 
 def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     """Union of common subpatterns over all pairs of distinct dictionary segments."""
     data = [seg.data for seg in dictionary.segments]
     size = max((seg.alphabet_size for seg in dictionary.segments), default=1)
-    patterns = tuple(
-        SymbolSequence.from_bytes(frag, size) for frag in _pattern_bytes(data)
-    )
+    patterns = tuple(SymbolSequence(frag, size) for frag in _pattern_bytes(data))
     return PatternSet(dictionary.direction, patterns)
 
 
@@ -516,13 +514,10 @@ def attribute_patterns(report: CausalReport) -> tuple[AttributedPattern, ...]:
     """Winning-direction patterns ranked by weighted entropy, then weight.
 
     Patterns with flip ratio exactly 1 are flagged as triggers, ratio exactly
-    0 as preservers. An independent verdict yields an empty list.
+    0 as preservers. An independent verdict yields an empty list. The ranking
+    is the one ``infer_causal_direction`` stored in the report.
     """
-    if report.verdict == Direction.X_CAUSES_Y:
-        return _rank_patterns(report.score_xy)
-    if report.verdict == Direction.Y_CAUSES_X:
-        return _rank_patterns(report.score_yx)
-    return ()
+    return report.deterministic_patterns
 
 
 def infer_causal_direction(x: SymbolSequence, y: SymbolSequence) -> CausalReport:

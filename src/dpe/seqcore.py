@@ -10,6 +10,7 @@ binning with two bins, or a nonzero indicator for sparse data.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from collections.abc import Iterable
@@ -115,10 +116,6 @@ class SymbolSequence:
             alphabet_size = max(symbols, default=0) + 1
         return cls(symbols, alphabet_size)
 
-    @classmethod
-    def from_bytes(cls, data: bytes, alphabet_size: int) -> "SymbolSequence":
-        return cls(data, alphabet_size)
-
 
 @dataclass(frozen=True)
 class RealSeries:
@@ -188,6 +185,14 @@ def _parse_cell(cell: str) -> float | None:
         return None
 
 
+def read_text(path: str | Path) -> str:
+    """A user file's text: UTF-8 with or without a byte-order mark, line ends kept."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot open {path}: {exc}") from exc
+
+
 def load_pair_csv(path: str | Path, cols: tuple[int, int] = (1, 2)) -> tuple[RealSeries, RealSeries]:
     """Load two numeric columns from a CSV file, preserving row order.
 
@@ -202,40 +207,35 @@ def load_pair_csv(path: str | Path, cols: tuple[int, int] = (1, 2)) -> tuple[Rea
     xs: list[float] = []
     ys: list[float] = []
     width: int | None = None
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
-    with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) < max(ca, cb):
-                raise CsvParseError(
-                    lineno, f"expected at least {max(ca, cb)} columns, found {len(row)}"
-                )
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CsvParseError(lineno, f"ragged row: {len(row)} columns, expected {width}")
-            a = _parse_cell(row[ca - 1].strip())
-            b = _parse_cell(row[cb - 1].strip())
-            if a is None or b is None:
-                if not xs and a is None and b is None:
-                    continue  # single optional header row
-                bad = row[ca - 1] if a is None else row[cb - 1]
-                raise CsvParseError(lineno, f"non-numeric cell {bad!r}")
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise CsvParseError(lineno, "non-finite value")
-            xs.append(a)
-            ys.append(b)
+    rows = csv.reader(io.StringIO(read_text(path), newline=""))
+    for lineno, row in enumerate(rows, start=1):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) < max(ca, cb):
+            raise CsvParseError(
+                lineno, f"expected at least {max(ca, cb)} columns, found {len(row)}"
+            )
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise CsvParseError(lineno, f"ragged row: {len(row)} columns, expected {width}")
+        a = _parse_cell(row[ca - 1].strip())
+        b = _parse_cell(row[cb - 1].strip())
+        if a is None or b is None:
+            if not xs and a is None and b is None:
+                continue  # single optional header row
+            bad = row[ca - 1] if a is None else row[cb - 1]
+            raise CsvParseError(lineno, f"non-numeric cell {bad!r}")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise CsvParseError(lineno, "non-finite value")
+        xs.append(a)
+        ys.append(b)
     if not xs:
         raise InputError(f"{path}: no data rows")
     return RealSeries(tuple(xs)), RealSeries(tuple(ys))
 
 
 NUCLEOTIDE_TO_SYMBOL = {"A": 0, "C": 1, "G": 2, "T": 3}
-SYMBOL_TO_NUCLEOTIDE = "ACGT"
 
 
 # FASTA sequence text is encoded as ASCII with "?" for every other code
@@ -288,11 +288,6 @@ class FastaRecord:
         return self.masked.seq
 
 
-def nucleotide_display(seq: SymbolSequence) -> str:
-    """1-based digit labels for a 4-symbol nucleotide sequence (A=1 .. T=4)."""
-    return "".join(str(s + 1) for s in seq.data)
-
-
 def load_fasta(path: str | Path) -> list[FastaRecord]:
     """Parse a FASTA file into nucleotide records mapped A,C,G,T -> 0..3.
 
@@ -301,10 +296,7 @@ def load_fasta(path: str | Path) -> list[FastaRecord]:
     positions pairwise later. Files without a header and records without
     sequence data are rejected.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from exc
+    text = read_text(path)
     records: list[FastaRecord] = []
     identifier: str | None = None
     lines: list[str] = []

@@ -8,7 +8,7 @@ first and binarize afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InputError
 from .rng import RngStream
@@ -68,19 +68,6 @@ class TrialSpec:
         for value in self.values:  # reject a bad battery before any trial runs
             check_trial_value(self.family, value, self.length, self.drop)
 
-    def to_config(self) -> str:
-        """Flat key=value block, one entry per line."""
-        values = ",".join(repr(float(v)) for v in self.values)
-        return (
-            f"family={self.family}\n"
-            f"param={self.param_name}\n"
-            f"values={values}\n"
-            f"length={self.length}\n"
-            f"drop={self.drop}\n"
-            f"trials={self.trials}\n"
-            f"seed={self.seed}\n"
-        )
-
     @classmethod
     def from_config(cls, text: str) -> "TrialSpec":
         fields: dict[str, str] = {}
@@ -108,9 +95,6 @@ class TrialSpec:
             )
         except ValueError as exc:
             raise InputError(f"bad config value: {exc}") from exc
-
-    def with_trials(self, trials: int) -> "TrialSpec":
-        return replace(self, trials=trials)
 
 
 def check_trial_value(family: str, value: float, length: int, drop: int) -> None:
@@ -165,13 +149,7 @@ def gen_delayed_bitflip(length: int, delay_k: int, rng: RngStream) -> SequencePa
     )
 
 
-def gen_ar1(
-    phi: float,
-    length: int,
-    drop: int,
-    rng: RngStream,
-    noise_nu: float = AR1_NOISE,
-) -> SequencePair:
+def gen_ar1(phi: float, length: int, drop: int, rng: RngStream) -> SequencePair:
     """Unidirectionally coupled AR(1) pair: the autonomous Y drives X.
 
     Per step the Y innovation is drawn before the X innovation. Zero initial
@@ -184,8 +162,8 @@ def gen_ar1(
     xprev = 0.0
     yprev = 0.0
     for t in range(length):
-        eps_y = noise_nu * rng.normal()
-        eps_x = noise_nu * rng.normal()
+        eps_y = AR1_NOISE * rng.normal()
+        eps_x = AR1_NOISE * rng.normal()
         ycur = AR1_B * yprev + eps_y
         xcur = AR1_A * xprev + phi * yprev + eps_x
         ys[t] = ycur

@@ -63,6 +63,13 @@ class TestRunSweep:
         with pytest.raises(InputError):
             run_sweep(small_spec(), methods=("granger",))
 
+    def test_repeated_method_rejected_before_any_trial(self, monkeypatch):
+        trials = []
+        monkeypatch.setattr(bench, "generate_trial", lambda *args: trials.append(args))
+        with pytest.raises(InputError, match="method 'dpe' is listed more than once"):
+            run_sweep(small_spec(), methods=("dpe", "lzp", "dpe"))
+        assert trials == []
+
     @pytest.mark.parametrize("workers", (0, -2))
     def test_workers_below_one(self, workers):
         with pytest.raises(InputError, match=f"workers must be >= 1, got {workers}"):
@@ -78,9 +85,10 @@ class TestRunSweep:
 
 
 class SerialPool:
-    """Stand-in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stand-in for ProcessPoolExecutor: records max_workers and chunksize, maps in-process."""
 
     sizes = []
+    chunksizes = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -91,7 +99,8 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
@@ -99,6 +108,7 @@ class TestWorkerCap:
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         SerialPool.sizes = []
+        SerialPool.chunksizes = []
         monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
 
@@ -108,9 +118,19 @@ class TestWorkerCap:
         assert SerialPool.sizes == [4]
 
     def test_pool_capped_at_block_count(self):
-        spec = small_spec(values=(1.0, 2.0), trials=1)  # two one-trial blocks
+        spec = small_spec(values=(1.0, 2.0), trials=1)  # two trials
         assert run_sweep(spec, workers=5000) == run_sweep(spec)
         assert SerialPool.sizes == [2]
+
+    @pytest.mark.parametrize(
+        "trials, workers, pool, chunksize",
+        ((6, 5000, 4, 1), (9, 2, 2, 2), (20, 3, 3, 2), (40, 5000, 4, 3)),
+    )
+    def test_chunksize_is_a_quarter_of_a_workers_share(self, trials, workers, pool, chunksize):
+        spec = small_spec(trials=trials)  # two values
+        assert run_sweep(spec, workers=workers) == run_sweep(spec)
+        assert SerialPool.sizes == [pool]
+        assert SerialPool.chunksizes == [-(-trials // (4 * pool))] == [chunksize]
 
     def test_one_block_runs_without_a_pool(self, monkeypatch):
         spec = small_spec(values=(1.0,), trials=1)
@@ -368,6 +388,49 @@ class TestCli:
         assert not (tmp_path / "genomic.csv").exists()
 
 
+class TestUserFileBytes:
+    """User files are UTF-8 with or without a byte-order mark; other bytes exit 1."""
+
+    def test_infer_csv_not_utf8_exits_1(self, tmp_path, capsys):
+        csv = tmp_path / "pair.csv"
+        csv.write_bytes(b"1,0\n0,1\n1,0\xe9\n")
+        assert cli.main(["infer", "--input", str(csv)]) == 1
+        assert f"error: cannot open {csv}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ("ref.fasta", "cw.fasta", "country/c.fasta"))
+    def test_genomic_fasta_not_utf8_exits_1(self, tmp_path, capsys, bad):
+        (tmp_path / "country").mkdir()
+        for name, text in (("ref.fasta", REF_FASTA), ("cw.fasta", CW_FASTA),
+                           ("country/c.fasta", CANDIDATES_FASTA)):
+            tail = b">x\xe9\nACGT\n" if name == bad else b""
+            (tmp_path / name).write_bytes(text.encode() + tail)
+        argv = ["genomic", "--reference", str(tmp_path / "ref.fasta"),
+                "--cw", str(tmp_path / "cw.fasta"), "--candidates", str(tmp_path / "country"),
+                "--out", str(tmp_path / "genomic.csv")]
+        assert cli.main(argv) == 1
+        assert f"error: cannot open {tmp_path / bad}: " in capsys.readouterr().err
+        assert not (tmp_path / "genomic.csv").exists()
+
+    def test_bench_spec_not_utf8_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_bytes(
+            b"# caf\xe9\nfamily=delay_bitflip\nparam=delay\nvalues=1.0\n"
+            b"length=64\ndrop=0\ntrials=1\nseed=5\n"
+        )
+        assert cli.main(["bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
+        assert f"error: cannot open {spec}: " in capsys.readouterr().err
+
+    def test_infer_report_ignores_a_byte_order_mark(self, tmp_path):
+        rows = "".join(["1.0,0.0\n"] * 3 + ["0.0,1.0\n"] * 3) * 4
+        (tmp_path / "plain.csv").write_bytes(rows.encode())
+        (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        for name in ("plain", "marked"):
+            argv = ["infer", "--input", str(tmp_path / f"{name}.csv"),
+                    "--out", str(tmp_path / f"{name}.txt")]
+            assert cli.main(argv) == 0
+        assert (tmp_path / "marked.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
+
 class TestBenchSpecValues:
     def _bench(self, tmp_path, family, param, values, length):
         spec = tmp_path / "spec.cfg"
@@ -394,6 +457,16 @@ class TestBenchSpecValues:
         argv = ["bench", "--family", "delay", "--trials", "1", "--workers", "-2", "--out", str(out)]
         assert cli.main(argv) == 1
         assert "error: workers must be >= 1, got -2" in capsys.readouterr().err
+        assert trials == [] and not out.exists()
+
+    def test_repeated_method_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(bench, "generate_trial", lambda *args: trials.append(args))
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--family", "delay", "--methods", "dpe,dpe", "--trials", "1",
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "error: method 'dpe' is listed more than once" in capsys.readouterr().err
         assert trials == [] and not out.exists()
 
     def test_bad_value_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):

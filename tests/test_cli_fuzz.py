@@ -1,7 +1,9 @@
-"""Generated CSV and FASTA text through ``cli.main``: the exit code is 0 or 1, never 2.
+"""Generated CSV and FASTA files through ``cli.main``: the exit code is 0 or 1, never 2.
 
 Exit 2 is reserved for internal invariant violations, so no user input may
-reach it. The commands run in-process on files in a temporary directory.
+reach it. The commands run in-process on files in a temporary directory. The
+files are bytes: UTF-8 text, sometimes after a byte-order mark, sometimes with
+one byte spliced in that is never valid UTF-8.
 """
 
 import contextlib
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from dpe import cli
 
@@ -32,10 +34,24 @@ BAD_CELLS = st.one_of(
     st.sampled_from(("", " ", "x", '"1,2"', "0x1", "1e308", "-1e308", "1e999", "nan", "-inf")),
 )
 
+BOM = b"\xef\xbb\xbf"
+NOT_UTF8 = st.sampled_from((b"\x80", b"\xc3", b"\xe9", b"\xff"))
+
+
+def encode(draw, text):
+    """``text`` as UTF-8, one time in four after a BOM, one in eight with a bad byte."""
+    data = text.encode("utf-8")
+    if draw(st.integers(min_value=1, max_value=4)) == 1:
+        data = BOM + data
+    if draw(st.integers(min_value=1, max_value=8)) == 1:
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(NOT_UTF8) + data[at:]
+    return data
+
 
 @st.composite
 def csv_texts(draw):
-    """(text, data rows) of a numeric table, sometimes with a header, one bad cell
+    """(bytes, data rows) of a numeric table, sometimes with a header, one bad cell
     or one ragged row."""
     width = draw(st.integers(min_value=2, max_value=4))
     n_rows = draw(st.integers(min_value=0, max_value=40))
@@ -50,7 +66,7 @@ def csv_texts(draw):
     text = "".join(",".join(row) + "\n" for row in rows)
     if draw(st.booleans()):
         text = ",".join("h%d" % k for k in range(width)) + "\n" + text
-    return text, n_rows
+    return encode(draw, text), n_rows
 
 
 INFER_OPTIONS = st.tuples(
@@ -73,15 +89,14 @@ def run_main(argv):
 
 
 @pytest.mark.filterwarnings("ignore::dpe.errors.DegenerateSeriesWarning")
-@settings(max_examples=60, deadline=None)
 @given(csv_texts(), INFER_OPTIONS, st.booleans())
 def test_infer_exit_code_is_0_or_1(table, options, graph):
-    text, n_rows = table
+    data, n_rows = table
     binarize, cols, (from_end, drop) = options
     drop += from_end * n_rows
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pair.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         argv = ["infer", "--input", str(path), "--binarize", binarize, "--cols", cols,
                 "--drop", str(drop), "--out", str(Path(tmp) / "report.txt")]
         if graph:
@@ -97,7 +112,7 @@ HEADERS = mostly(st.sampled_from((">rec", ">rec some description")), st.sampled_
 
 @st.composite
 def fasta_texts(draw, records=mostly(st.integers(1, 3), st.just(0))):
-    """FASTA records, sometimes empty, sometimes after a line of headerless data."""
+    """FASTA bytes, sometimes without records, sometimes after a line of headerless data."""
     lines = []
     if draw(st.integers(min_value=1, max_value=40)) == 1:  # data before any header
         lines.append(draw(SEQUENCE_LINES))
@@ -105,23 +120,22 @@ def fasta_texts(draw, records=mostly(st.integers(1, 3), st.just(0))):
         lines.append(draw(HEADERS))
         empty = draw(st.integers(min_value=1, max_value=30)) == 1
         lines += [] if empty else draw(st.lists(SEQUENCE_LINES, min_size=1, max_size=3))
-    return "\n".join(lines) + "\n"
+    return encode(draw, "\n".join(lines) + "\n")
 
 
 ONE_RECORD = mostly(st.just(1), st.integers(min_value=0, max_value=2))
 
 
-@settings(max_examples=60, deadline=None)
 @given(fasta_texts(ONE_RECORD), fasta_texts(ONE_RECORD), st.lists(fasta_texts(), max_size=3))
 def test_genomic_exit_code_is_0_or_1(reference, cw, candidates):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "ref.fa").write_text(reference, encoding="utf-8")
-        (root / "cw.fa").write_text(cw, encoding="utf-8")
+        (root / "ref.fa").write_bytes(reference)
+        (root / "cw.fa").write_bytes(cw)
         country = root / "country"
         country.mkdir()
-        for k, text in enumerate(candidates):
-            (country / ("c%d.%s" % (k, ("fa", "fasta")[k % 2]))).write_text(text, encoding="utf-8")
+        for k, data in enumerate(candidates):
+            (country / ("c%d.%s" % (k, ("fa", "fasta")[k % 2]))).write_bytes(data)
         argv = ["genomic", "--reference", str(root / "ref.fa"), "--cw", str(root / "cw.fa"),
                 "--candidates", str(country), "--out", str(root / "out.csv")]
         assert run_main(argv) in (0, 1)

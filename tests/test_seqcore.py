@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 
@@ -22,7 +23,6 @@ from dpe.seqcore import (
     binarize_nonzero,
     load_fasta,
     load_pair_csv,
-    nucleotide_display,
 )
 
 
@@ -214,6 +214,20 @@ class TestLoadPairCsv:
         with pytest.raises(InputError):
             load_pair_csv(tmp_path / "absent.csv")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"1.0,2\r\n3,4\r\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_pair_csv(marked) == load_pair_csv(plain) == (
+            RealSeries((1.0, 3.0)), RealSeries((2.0, 4.0))
+        )
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"1,2\n3,4\xe9\n")
+        with pytest.raises(InputError, match=re.escape(f"cannot open {p}: 'utf-8' codec")):
+            load_pair_csv(p)
+
     def test_header_only_is_empty(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("x,y\n")
@@ -237,7 +251,6 @@ class TestLoadFasta:
         assert [r.identifier for r in records] == ["rec1", "rec2"]
         rec1 = records[0]
         assert rec1.seq.symbols == (0, 1, 2, 3, 0, 1, 2, 3)
-        assert nucleotide_display(rec1.seq) == "12341234"
         assert not any(rec1.masked.ambiguous)
 
     def test_ambiguous_position_masked_not_dropped(self, tmp_path):
@@ -248,6 +261,18 @@ class TestLoadFasta:
         assert rec2.masked.ambiguous == (False, False, True, False, False)
         kept = [s for s, m in zip(rec2.seq.symbols, rec2.masked.ambiguous) if not m]
         assert kept == [0, 1, 2, 3]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.fasta", tmp_path / "marked.fasta"
+        plain.write_text(FASTA)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_fasta(marked) == load_fasta(plain)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "latin1.fasta"
+        p.write_bytes(b">r\xe9\nACGT\n")
+        with pytest.raises(InputError, match=re.escape(f"cannot open {p}: 'utf-8' codec")):
+            load_fasta(p)
 
     def test_roundtrip_acgt_only(self, tmp_path):
         p = tmp_path / "a.fasta"

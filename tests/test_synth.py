@@ -171,8 +171,12 @@ class TestSparse:
 
 class TestTrialSpec:
     def test_config_roundtrip(self):
+        text = (
+            "# ar1 battery\nfamily=ar1\nparam=phi\nvalues=0.2,0.4\n"
+            "length=1500\ndrop=500\ntrials=200\nseed=42\n"
+        )
         spec = TrialSpec("ar1", "phi", (0.2, 0.4), 1500, 500, 200, 42)
-        assert TrialSpec.from_config(spec.to_config()) == spec
+        assert TrialSpec.from_config(text) == spec
 
     def test_config_missing_key(self):
         with pytest.raises(InputError, match="missing"):
