@@ -158,13 +158,34 @@ def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.nda
 
 
 def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Index of the first entry, by rank and then position, of each content, in that order."""
-    idx = np.lexsort((rank, keys, lengths))
-    lengths, keys = lengths[idx], keys[idx]
-    head = np.ones(len(idx), dtype=bool)
-    head[1:] = (lengths[1:] != lengths[:-1]) | (keys[1:] != keys[:-1])
-    first = np.sort(idx[head])
-    return first[np.argsort(rank[first], kind="stable")]
+    """Index of the first entry, by rank and then position, of each content, in that order.
+
+    (length, key, rank, position) are packed into one int64 when their bit
+    widths, taken from the maxima, add up to at most 63: one plain sort then
+    orders the entries and one more orders the firsts. Wider inputs lexsort.
+    """
+    n = len(lengths)
+    index_bits = max(n - 1, 0).bit_length()
+    low = int(rank.max(initial=0)).bit_length() + index_bits  # rank and position
+    key_bits = int(keys.max(initial=0)).bit_length()
+    if int(lengths.max(initial=0)).bit_length() + key_bits + low > 63:
+        idx = np.lexsort((rank, keys, lengths))
+        lengths, keys = lengths[idx], keys[idx]
+        head = np.ones(len(idx), dtype=bool)
+        head[1:] = (lengths[1:] != lengths[:-1]) | (keys[1:] != keys[:-1])
+        first = np.sort(idx[head])
+        return first[np.argsort(rank[first], kind="stable")]
+    packed = np.left_shift(lengths, key_bits + low, dtype=np.int64)
+    packed |= keys << low
+    packed |= rank << index_bits
+    packed |= np.arange(n)
+    packed.sort()
+    content = packed >> low
+    head = np.ones(n, dtype=bool)
+    np.not_equal(content[1:], content[:-1], out=head[1:])
+    first = packed[head] & ((1 << low) - 1)
+    first.sort()
+    return first & ((1 << index_bits) - 1)
 
 
 def build_flip_dictionary(
@@ -182,9 +203,9 @@ def build_flip_dictionary(
         raise ValueError("dictionary construction needs length >= 2")
     tgt = np.frombuffer(target.data, dtype=np.uint8)
     flips = np.flatnonzero(tgt[1:] != tgt[:-1]) + 1  # 0-based index of the changed symbol
-    index = np.arange(len(flips))
-    run_first = np.maximum.accumulate(np.where(np.diff(flips, prepend=-1) != 1, index, 0))
-    stops = flips[(index - run_first) % 2 == 0] + 1
+    head = np.diff(flips, prepend=-1) != 1  # the first flip of each run
+    run_start = flips[head][np.cumsum(head) - 1]
+    stops = flips[((flips - run_start) & 1) == 0] + 1
     if len(stops) == 0:
         return FlipDictionary(direction, ())
     lengths = np.diff(stops, prepend=0)
@@ -353,34 +374,37 @@ def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     return PatternSet(dictionary.direction, patterns)
 
 
-def _table_lookup(keys: np.ndarray, owners: np.ndarray, space: int):
-    """Window -> (owner of each hit, hit mask), by one gather from a dense table.
+def _table_lookup(keys: np.ndarray, space: int):
+    """(Window, flipped) -> bin, by one gather from a dense int32 table of ``space`` entries.
 
-    Of equal keys the first owner wins: it is written last.
+    A window equal to ``keys[i]`` takes bin ``2 * i + flipped``, of equal keys
+    the first (it is written last); any other window the miss bin
+    ``2 * len(keys) + flipped``.
     """
-    table = np.full(space, -1, dtype=np.int32)
-    table[keys[::-1]] = owners[::-1]
+    table = np.full(space, 2 * len(keys), dtype=np.int32)
+    table[keys[::-1]] = np.arange(2 * len(keys) - 2, -1, -2, dtype=np.int32)
 
-    def look(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        which = table[window]
-        hit = which >= 0
-        return which[hit], hit
+    def look(window: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+        bins = table[window]
+        bins += flipped
+        return bins
 
     return look
 
 
-def _sorted_lookup(keys: np.ndarray, owners: np.ndarray):
-    """Window -> (owner of each hit, hit mask), by binary search of the sorted keys.
+def _sorted_lookup(keys: np.ndarray):
+    """(Window, flipped) -> bin ``2 * i + flipped`` of each window equal to ``keys[i]``,
+    by binary search of the sorted keys; windows equal to no key are dropped.
 
-    Of equal keys the first owner wins: the sort is stable and the search leftmost.
+    Of equal keys the first wins: the sort is stable and the search leftmost.
     """
     order = np.argsort(keys, kind="stable")
-    ranked, owners = keys[order], owners[order]
+    ranked, bins = keys[order], 2 * order
 
-    def look(window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def look(window: np.ndarray, flipped: np.ndarray) -> np.ndarray:
         at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
         hit = ranked[at] == window
-        return owners[at[hit]], hit
+        return bins[at[hit]] + flipped[hit]
 
     return look
 
@@ -392,8 +416,9 @@ def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np
     block ids give exact keys; of equal patterns only the first is credited.
     For each pattern length, the window key of every cause position, a chunk
     at a time, is looked up in a dense table when the length's key space has
-    at most ``_CHUNK`` entries, and among the sorted pattern keys otherwise;
-    overlapping occurrences all count.
+    at most ``_CHUNK`` entries, and among the sorted pattern keys otherwise.
+    Either maps a window to the bin of its pattern and of whether its effect
+    window flips, so one bincount per chunk counts every overlapping occurrence.
     """
     n = len(cause)
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
@@ -410,18 +435,19 @@ def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np
         k = length.bit_length() - 1
         space = int(bound[k]) ** 2  # every window key of this length is below it
         if space <= _CHUNK:
-            look = _table_lookup(keys[members], members, space)
+            look = _table_lookup(keys[members], space)
         else:
-            look = _sorted_lookup(keys[members], members)
+            look = _sorted_lookup(keys[members])
+        counts = np.zeros(2 * len(members) + 2, dtype=np.int64)  # (steady, flipped) bins, then a miss
         lag = length - (1 << k)  # window key from the blocks at s and s + lag, as in _content_keys
         for first in range(0, n - length + 1, _CHUNK // 8):
             last = min(first + _CHUNK // 8, n - length + 1)
             window = np.multiply(ids[k, first:last], bound[k], dtype=np.int64)
             window += ids[k, first + lag : last + lag]
-            which, hit = look(window)
-            flips = (prefix[first + length - 1 : last + length - 1] > prefix[first:last])[hit]
-            n_occ += np.bincount(which, minlength=len(patterns))
-            n_change += np.bincount(which[flips], minlength=len(patterns))
+            flipped = prefix[first + length - 1 : last + length - 1] > prefix[first:last]
+            counts += np.bincount(look(window, flipped), minlength=len(counts))
+        steady, flips = counts[:-2].reshape(-1, 2).T
+        n_occ[members], n_change[members] = steady + flips, flips
     return n_occ, n_change
 
 
@@ -497,7 +523,7 @@ def score_direction(
 def _rank_patterns(winning: DirectionalScore) -> tuple[AttributedPattern, ...]:
     ranked = sorted(
         winning.pattern_scores,
-        key=lambda s: (s.h_weighted, -s.weight, s.pattern.symbols),
+        key=lambda s: (s.h_weighted, -s.weight, s.pattern.data),
     )
     out = []
     for s in ranked:

@@ -193,13 +193,25 @@ def read_text(path: str | Path) -> str:
         raise InputError(f"cannot open {path}: {exc}") from exc
 
 
+def _csv_rows(text: str):
+    """(line number, cells) of each CSV record; a record whose quoted cell spans
+    lines has the number of its last line, and a record the reader rejects (a
+    cell over the field size limit, say) raises ``CsvParseError``."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in rows:
+            yield rows.line_num, row
+    except csv.Error as exc:
+        raise CsvParseError(rows.line_num, str(exc)) from None
+
+
 def load_pair_csv(path: str | Path, cols: tuple[int, int] = (1, 2)) -> tuple[RealSeries, RealSeries]:
     """Load two numeric columns from a CSV file, preserving row order.
 
     ``cols`` selects 1-based column indices (default: first two). A single
     leading header row is allowed and detected by both selected cells failing
-    numeric parsing. Ragged rows, non-numeric cells, and non-finite values are
-    rejected with the offending line number.
+    numeric parsing. Ragged rows, non-numeric cells, non-finite values and
+    cells the csv module rejects are reported with the offending line number.
     """
     ca, cb = cols
     if ca < 1 or cb < 1:
@@ -207,8 +219,7 @@ def load_pair_csv(path: str | Path, cols: tuple[int, int] = (1, 2)) -> tuple[Rea
     xs: list[float] = []
     ys: list[float] = []
     width: int | None = None
-    rows = csv.reader(io.StringIO(read_text(path), newline=""))
-    for lineno, row in enumerate(rows, start=1):
+    for lineno, row in _csv_rows(read_text(path)):
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) < max(ca, cb):

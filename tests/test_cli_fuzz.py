@@ -32,6 +32,8 @@ BAD_CELLS = st.one_of(
     st.integers(min_value=-3, max_value=300).map(str),
     st.floats().map(repr),
     st.sampled_from(("", " ", "x", '"1,2"', "0x1", "1e308", "-1e308", "1e999", "nan", "-inf")),
+    # a quoted cell over two lines, and one over the csv module's field size limit
+    st.sampled_from(('"1\n2"', '"x\ny"', "9" * 131_073)),
 )
 
 BOM = b"\xef\xbb\xbf"
@@ -65,7 +67,10 @@ def csv_texts(draw):
         row += ["0"] * draw(st.integers(min_value=0, max_value=2))
     text = "".join(",".join(row) + "\n" for row in rows)
     if draw(st.booleans()):
-        text = ",".join("h%d" % k for k in range(width)) + "\n" + text
+        header = ["h%d" % k for k in range(width)]
+        if draw(st.booleans()):
+            header[-1] = '"h\n%d"' % (width - 1)  # the header spans two lines
+        text = ",".join(header) + "\n" + text
     return encode(draw, text), n_rows
 
 

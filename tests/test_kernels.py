@@ -7,7 +7,9 @@ in different chunks. Palettes of one to three symbols drawn from alphabets of
 reach pattern lengths on both sides of the limit where block ids stop being
 packed integers and become ranks (32 symbols for 2, 16 for 4, 4 for 256).
 Counting looks windows up in a dense table when a length's key space fits
-the chunk budget and by binary search otherwise; both sides are checked.
+the chunk budget and by binary search otherwise; the content dedupe packs
+its sort keys into one int64 up to 63 bits and lexsorts beyond. Both sides
+of each are checked.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import tracemalloc
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -110,6 +113,64 @@ class TestExtractionOrder:
             segments = [run[:33] + b"\x01", run[:50], b"\x01" + run[:64], run[:5] + b"\x01" + run[:40]]
             segments = [bytes(s % alphabet for s in seg) for seg in segments]
             assert core._pattern_bytes(segments) == naive_pattern_order(segments)
+
+
+def ordered_firsts(lengths, keys, rank):
+    """The first entry of each (length, key), by rank and then position, in that order."""
+    first = {}
+    for i in sorted(range(len(lengths)), key=lambda i: (rank[i], i)):
+        first.setdefault((lengths[i], keys[i]), i)
+    return sorted(first.values(), key=lambda i: (rank[i], i))
+
+
+def packed_width(lengths, keys, rank):
+    """Bits of (length, key, rank, position) at their maxima."""
+    widths = [int(a.max(initial=0)).bit_length() for a in (lengths, keys, rank)]
+    return sum(widths) + max(len(lengths) - 1, 0).bit_length()
+
+
+@st.composite
+def content_tables(draw, key_top, rank_top):
+    """(lengths, keys, rank) from small pools, so contents repeat and ranks tie;
+    one entry holds ``key_top`` and one ``rank_top``."""
+    n = draw(st.integers(1, 60))
+
+    def column(top):
+        pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+        values = [draw(st.sampled_from(pool)) for _ in range(n)]
+        values[draw(st.integers(0, n - 1))] = top
+        return np.array(values, dtype=np.int64)
+
+    return column(40), column(key_top), column(rank_top)
+
+
+def first_by_content(lengths, keys, rank):
+    """core._first_by_content, and whether it took the lexsort side."""
+    with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+        got = core._first_by_content(lengths, keys, rank)
+    return got.tolist(), lexsort.called
+
+
+class TestFirstByContent:
+    """Packed into one int64 up to 63 bits, lexsorted beyond; both give the reference."""
+
+    @pytest.mark.parametrize("key_top, rank_top", ((2**12, 2**12), (2**61, 3), (7, 2**61)))
+    @given(data=st.data())
+    def test_matches_ordered_reference(self, key_top, rank_top, data):
+        table = data.draw(content_tables(key_top, rank_top))
+        got, wide = first_by_content(*table)
+        assert got == ordered_firsts(*(a.tolist() for a in table))
+        assert wide == (packed_width(*table) > 63) == (max(key_top, rank_top) > 2**12)
+
+    @pytest.mark.parametrize("key_top, wide", ((2**59, False), (2**60, True)))
+    def test_either_side_of_63_bits(self, key_top, wide):
+        # 1 bit of length, 60 or 61 of key, 1 of rank and 1 of position
+        lengths, keys, rank = (np.array(v, dtype=np.int64) for v in ([1, 1], [key_top, 0], [1, 0]))
+        assert packed_width(lengths, keys, rank) == 63 + wide
+        assert first_by_content(lengths, keys, rank) == ([1, 0], wide)
+
+    def test_empty(self):
+        assert first_by_content(*np.zeros((3, 0), dtype=np.int64)) == ([], False)
 
 
 @st.composite
@@ -292,7 +353,7 @@ class TestLookupSides:
             for s in score.pattern_scores:
                 assert (s.n_change, s.n_nochange) == naive_response(s.pattern.symbols, cause, effect)
             assert search.called and (table.called or chunk < core._CHUNK)
-            assert all(c.args[2] <= chunk for c in table.call_args_list)
+            assert all(c.args[1] <= chunk for c in table.call_args_list)
 
 
 class TestScoreDirection:
@@ -372,7 +433,18 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [c.args[2] for c in table.call_args_list] == [4**4, 4**4, 4**8, 4**8]
+    assert [c.args[1] for c in table.call_args_list] == [4**4, 4**4, 4**8, 4**8]
     assert search.call_count == 2
     assert list(zip(n_occ.tolist(), n_change.tolist())) == first_copy_responses(patterns, cause, effect)
+    assert peak < 2 * 1024 * 1024
+    # the flip dictionary of the same pair: 22,439 flips cut 12,858 segments of
+    # at most 9 symbols into 503 distinct ones, peaking near 1.7 MB
+    x, y = SymbolSequence(cause, 4), SymbolSequence(effect, 4)
+    tracemalloc.start()
+    try:
+        segments = build_flip_dictionary(x, y).segments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.symbols for s in segments] == naive_dictionary(x.symbols, y.symbols)
     assert peak < 2 * 1024 * 1024

@@ -1,3 +1,4 @@
+import csv
 import re
 import sys
 import warnings
@@ -209,6 +210,24 @@ class TestLoadPairCsv:
         p.write_text("1,inf\n")
         with pytest.raises(CsvParseError, match="line 1"):
             load_pair_csv(p)
+
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        # the header's quoted cell spans lines 1 and 2
+        p = tmp_path / "multiline.csv"
+        p.write_text('a,"b\nc"\n1,2\nx,4\n')
+        with pytest.raises(CsvParseError) as info:
+            load_pair_csv(p)
+        assert str(info.value) == "line 4: non-numeric cell 'x'"
+        assert info.value.line_number == 4
+
+    def test_oversized_cell_names_the_line(self, tmp_path):
+        limit = csv.field_size_limit()
+        p = tmp_path / "wide.csv"
+        p.write_text("1,2\n3," + "9" * (limit + 1) + "\n5,6\n")
+        with pytest.raises(CsvParseError) as info:
+            load_pair_csv(p)
+        assert str(info.value) == f"line 2: field larger than field limit ({limit})"
+        assert info.value.line_number == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
