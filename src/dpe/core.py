@@ -374,15 +374,18 @@ def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     return PatternSet(dictionary.direction, patterns)
 
 
-def _table_lookup(keys: np.ndarray, space: int):
+def _table_lookup(keys: np.ndarray, space: int, tables: dict[int, np.ndarray]):
     """(Window, flipped) -> bin, by one gather from a dense int32 table of ``space`` entries.
 
-    A window equal to ``keys[i]`` takes bin ``2 * i + flipped``, of equal keys
-    the first (it is written last); any other window the miss bin
-    ``2 * len(keys) + flipped``.
+    A window equal to ``keys[i]`` takes bin ``2 * i + 2 + flipped``, of equal
+    keys the first (it is written last); any other window the miss bin
+    ``flipped``. ``tables`` holds one zeroed table per key space; the caller
+    zeroes ``keys`` in it again once the lookup is done.
     """
-    table = np.full(space, 2 * len(keys), dtype=np.int32)
-    table[keys[::-1]] = np.arange(2 * len(keys) - 2, -1, -2, dtype=np.int32)
+    table = tables.get(space)
+    if table is None:
+        table = tables[space] = np.zeros(space, dtype=np.int32)
+    table[keys[::-1]] = np.arange(2 * len(keys), 0, -2, dtype=np.int32)
 
     def look(window: np.ndarray, flipped: np.ndarray) -> np.ndarray:
         bins = table[window]
@@ -393,13 +396,13 @@ def _table_lookup(keys: np.ndarray, space: int):
 
 
 def _sorted_lookup(keys: np.ndarray):
-    """(Window, flipped) -> bin ``2 * i + flipped`` of each window equal to ``keys[i]``,
+    """(Window, flipped) -> bin ``2 * i + 2 + flipped`` of each window equal to ``keys[i]``,
     by binary search of the sorted keys; windows equal to no key are dropped.
 
     Of equal keys the first wins: the sort is stable and the search leftmost.
     """
     order = np.argsort(keys, kind="stable")
-    ranked, bins = keys[order], 2 * order
+    ranked, bins = keys[order], 2 * order + 2
 
     def look(window: np.ndarray, flipped: np.ndarray) -> np.ndarray:
         at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
@@ -419,6 +422,8 @@ def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np
     at most ``_CHUNK`` entries, and among the sorted pattern keys otherwise.
     Either maps a window to the bin of its pattern and of whether its effect
     window flips, so one bincount per chunk counts every overlapping occurrence.
+    Lengths with the same key space share one table, and each resets only the
+    keys it wrote.
     """
     n = len(cause)
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
@@ -430,15 +435,16 @@ def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np
     keys[found] = _content_keys(ids, bound, first_at[found], lengths[found])
     eff = np.frombuffer(effect, dtype=np.uint8)
     prefix = np.concatenate(([0], np.cumsum(eff[1:] != eff[:-1])))  # flips before each index
+    tables: dict[int, np.ndarray] = {}
     for length in sorted(set(lengths[found].tolist())):
         members = found[lengths[found] == length]
         k = length.bit_length() - 1
         space = int(bound[k]) ** 2  # every window key of this length is below it
         if space <= _CHUNK:
-            look = _table_lookup(keys[members], space)
+            look = _table_lookup(keys[members], space, tables)
         else:
             look = _sorted_lookup(keys[members])
-        counts = np.zeros(2 * len(members) + 2, dtype=np.int64)  # (steady, flipped) bins, then a miss
+        counts = np.zeros(2 * len(members) + 2, dtype=np.int64)  # a miss, then (steady, flipped) bins
         lag = length - (1 << k)  # window key from the blocks at s and s + lag, as in _content_keys
         for first in range(0, n - length + 1, _CHUNK // 8):
             last = min(first + _CHUNK // 8, n - length + 1)
@@ -446,7 +452,9 @@ def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np
             window += ids[k, first + lag : last + lag]
             flipped = prefix[first + length - 1 : last + length - 1] > prefix[first:last]
             counts += np.bincount(look(window, flipped), minlength=len(counts))
-        steady, flips = counts[:-2].reshape(-1, 2).T
+        if space <= _CHUNK:
+            tables[space][keys[members]] = 0
+        steady, flips = counts[2:].reshape(-1, 2).T
         n_occ[members], n_change[members] = steady + flips, flips
     return n_occ, n_change
 

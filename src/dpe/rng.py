@@ -21,16 +21,33 @@ Exact derivation, for reimplementation elsewhere:
     uniform()  = (next_u64() >> 11) * 2^-53                 in [0, 1)
     normal(): u1 = 1 - uniform() in (0, 1]; u2 = uniform();
               r = sqrt(-2 ln u1); return r*cos(2 pi u2), caching r*sin(2 pi u2)
+
+Draws are made a block at a time, and the derivation and the streams are the
+same as drawing one number per call. Without the output multiply the
+xorshift64 step T is linear over GF(2), so T^t(s) is the XOR of T^t(e_j) over
+the set bits j of s (the jump-ahead of Haramoto et al. 2008). A draw of n
+numbers splits into lanes of ``_BLOCK`` consecutive states, finds every lane's
+start with one masked XOR-reduce of the cached rows T^(k * _BLOCK)(e_j), steps
+all lanes in lockstep on uint64 arrays and reads them back in stream order.
+Box-Muller takes its logarithms, cosines and sines from ``math``, whose last
+bit can differ from numpy's. The scalar draws are blocks of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MULTIPLIER = 0x2545F4914F6CDD1D
 _TWO_TO_MINUS_53 = 2.0**-53
+_BLOCK = 8  # consecutive states per lane
+_LANES = 512  # cached jump rows (256 KiB); longer draws take several passes
+_BITS = np.arange(64, dtype=np.uint64)
 
 
 def _mix64(z: int) -> int:
@@ -40,6 +57,48 @@ def _mix64(z: int) -> int:
     z = (z * 0x94D049BB133111EB) & _MASK
     z ^= z >> 31
     return z
+
+
+def _xorshift(x: np.ndarray) -> np.ndarray:
+    """One xorshift64 step of every state in the uint64 array ``x``, in place."""
+    x ^= x >> 12
+    x ^= x << 25
+    x ^= x >> 27
+    return x
+
+
+def _apply(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L(x) for each uint64 in ``x``, where L is GF(2)-linear with L(1 << j) = columns[j].
+
+    One table per byte of x holds the XOR of the columns over every value of that byte.
+    """
+    table = np.zeros((8, 256), dtype=np.uint64)
+    for i in range(8):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ columns[i::8, None]
+    out = np.zeros_like(x)
+    for b in range(8):
+        out ^= table[b][(x >> np.uint64(8 * b)) & np.uint64(0xFF)]
+    return out
+
+
+@cache
+def _jump() -> np.ndarray:
+    """``rows[k, j] = T^(k * _BLOCK)(1 << j)``, built by the process's first draw of two lanes or more.
+
+    Row 1 takes ``_BLOCK`` steps; each further pass doubles the rows, as
+    T^((m + i) * _BLOCK) applies T^(m * _BLOCK) to row i.
+    """
+    rows = np.empty((_LANES, 64), dtype=np.uint64)
+    rows[0] = np.left_shift(np.uint64(1), _BITS)
+    rows[1] = rows[0]
+    for _ in range(_BLOCK):
+        _xorshift(rows[1])
+    filled = 2
+    while filled < _LANES:
+        count = min(filled - 1, _LANES - filled)
+        rows[filled : filled + count] = _apply(rows[filled - 1], rows[1 : 1 + count])
+        filled += count
+    return rows
 
 
 @dataclass
@@ -56,41 +115,74 @@ class RngStream:
         z = _mix64(_mix64(z))
         self._state = z if z != 0 else _GAMMA
 
+    def _states(self, n: int) -> np.ndarray:
+        """The next ``n`` xorshift64 states as uint64, in stream order."""
+        out = np.empty(n, dtype=np.uint64)
+        for first in range(0, n, _LANES * _BLOCK):
+            count = min(n - first, _LANES * _BLOCK)
+            lanes = -(-count // _BLOCK)
+            x = np.array([self._state], dtype=np.uint64)
+            if lanes > 1:  # lane k starts _BLOCK * k states on
+                x = np.bitwise_xor.reduce(_jump()[:lanes, (x >> _BITS) & 1 == 1], axis=1)
+            block = np.empty((min(count, _BLOCK), lanes), dtype=np.uint64)
+            for row in block:
+                row[:] = _xorshift(x)
+            out[first : first + count] = block.T.ravel()[:count]
+            self._state = int(out[first + count - 1])
+        return out
+
+    def _words(self, n: int) -> np.ndarray:
+        """The next ``n`` 64-bit outputs as uint64."""
+        return self._states(n) * np.uint64(_MULTIPLIER)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` uniform doubles in [0, 1), each from the top 53 bits of a word."""
+        return (self._words(n) >> 11).astype(np.float64) * _TWO_TO_MINUS_53
+
+    def bits(self, n: int) -> np.ndarray:
+        """The next ``n`` fair bits (the top bit of each word) as uint64."""
+        return self._words(n) >> 63
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next ``n`` standard normals by Box-Muller; two uniforms per pair, spare cached."""
+        out = np.empty(n)
+        head = 0
+        if n and self._spare_normal is not None:
+            out[0], self._spare_normal, head = self._spare_normal, None, 1
+        pairs = (n - head + 1) // 2
+        u = self.uniforms(2 * pairs)
+        u1 = (1.0 - u[0::2]).tolist()  # (0, 1], keeps the log finite
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), np.float64, pairs))
+        theta = (2.0 * math.pi * u[1::2]).tolist()
+        values = np.empty(2 * pairs)
+        values[0::2] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)
+        values[1::2] = radius * np.fromiter(map(math.sin, theta), np.float64, pairs)
+        out[head:] = values[: n - head]
+        if (n - head) % 2:
+            self._spare_normal = float(values[-1])
+        return out
+
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK
-        x ^= x >> 27
-        self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK
+        return int(self._words(1)[0])
 
     def uniform(self) -> float:
         """Uniform double in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) * _TWO_TO_MINUS_53
+        return float(self.uniforms(1)[0])
 
     def bit(self) -> int:
         """Single fair bit (the top bit of the next word)."""
-        return self.next_u64() >> 63
+        return int(self.bits(1)[0])
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; consumes two uniforms per pair."""
-        if self._spare_normal is not None:
-            value = self._spare_normal
-            self._spare_normal = None
-            return value
-        u1 = 1.0 - self.uniform()  # (0, 1], keeps the log finite
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_normal = radius * math.sin(theta)
-        return radius * math.cos(theta)
+        return float(self.normals(1)[0])
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct integers from range(n), by partial Fisher-Yates shuffle."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         pool = list(range(n))
-        for i in range(k):
-            j = i + int(self.uniform() * (n - i))
+        for i, u in enumerate(self.uniforms(k).tolist()):
+            j = i + int(u * (n - i))
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

@@ -63,6 +63,8 @@ class TrialSpec:
             raise InputError(f"unknown family {self.family!r}")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.drop < 0:
+            raise InputError(f"drop must be >= 0, got {self.drop}")
         if self.length <= self.drop:
             raise InputError("length must exceed the number of dropped transients")
         for value in self.values:  # reject a bad battery before any trial runs
@@ -104,6 +106,8 @@ def check_trial_value(family: str, value: float, length: int, drop: int) -> None
     sizes (``length`` is the series length n of sparse). ``TrialSpec`` checks
     every swept value with it, and each generator checks its own arguments.
     """
+    if drop < 0:
+        raise InputError(f"drop must be >= 0, got {drop}")
     if family in ("delay_bitflip", "sparse") and not float(value).is_integer():
         raise InputError(f"{family} needs a whole-number parameter value, got {value}")
     if family == "delay_bitflip":
@@ -140,7 +144,7 @@ def gen_delayed_bitflip(length: int, delay_k: int, rng: RngStream) -> SequencePa
     """Fair random bits X; Y flags trigger-pattern occurrences after a delay."""
     check_trial_value("delay_bitflip", delay_k, length, 0)
     delay_k = int(delay_k)
-    x_symbols = tuple(rng.bit() for _ in range(length))
+    x_symbols = tuple(rng.bits(length).tolist())
     y_symbols = delayed_flip_indicator(x_symbols, delay_k)
     return SequencePair(
         SymbolSequence(x_symbols, 2),
@@ -152,18 +156,17 @@ def gen_delayed_bitflip(length: int, delay_k: int, rng: RngStream) -> SequencePa
 def gen_ar1(phi: float, length: int, drop: int, rng: RngStream) -> SequencePair:
     """Unidirectionally coupled AR(1) pair: the autonomous Y drives X.
 
-    Per step the Y innovation is drawn before the X innovation. Zero initial
+    Per step the Y innovation comes before the X innovation. Zero initial
     conditions; the first ``drop`` samples are discarded before equi-width
     binarization. Ground truth is y_causes_x, or independent when phi == 0.
     """
     check_trial_value("ar1", phi, length, drop)
+    noise = iter((AR1_NOISE * rng.normals(2 * length)).tolist())
     xs = [0.0] * length
     ys = [0.0] * length
     xprev = 0.0
     yprev = 0.0
-    for t in range(length):
-        eps_y = AR1_NOISE * rng.normal()
-        eps_x = AR1_NOISE * rng.normal()
+    for t, eps_y, eps_x in zip(range(length), noise, noise):
         ycur = AR1_B * yprev + eps_y
         xcur = AR1_A * xprev + phi * yprev + eps_x
         ys[t] = ycur
@@ -190,8 +193,7 @@ def gen_skew_tent(eta: float, length: int, drop: int, rng: RngStream) -> Sequenc
     truth is x_causes_y (driver causes response), or independent at eta == 0.
     """
     check_trial_value("skew_tent", eta, length, drop)
-    d = rng.uniform()
-    r = rng.uniform()
+    d, r = rng.uniforms(2).tolist()
     ds = [0.0] * length
     rs = [0.0] * length
     for t in range(length):
@@ -222,11 +224,10 @@ def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
     z1_latent = 0.0
     z2_latent = 0.0
     z1_prev_obs = 0.0
+    noise = iter((SPARSE_NOISE_SD * rng.normals(2 * n)).tolist())
     z1 = [0.0] * n
     z2 = [0.0] * n
-    for t in range(n):
-        eps1 = SPARSE_NOISE_SD * rng.normal()
-        eps2 = SPARSE_NOISE_SD * rng.normal()
+    for t, eps1, eps2 in zip(range(n), noise, noise):
         z1_latent = SPARSE_ALPHA * z1_latent + eps1
         z2_latent = SPARSE_BETA * z2_latent + SPARSE_GAMMA * z1_prev_obs + eps2
         z1[t] = z1_latent if t in t1 else 0.0

@@ -5,7 +5,8 @@ and nested loops; deliberately slow and obviously correct. The two
 compression baselines and the baseline verdict take ``SymbolSequence`` values
 like the functions they check.
 The ingest oracles read FASTA one character at a time and align through an
-index list, giving plain tuples back.
+index list, giving plain tuples back. The random-stream oracle draws one
+number per call with Python integers, as the derivation in ``dpe.rng`` reads.
 """
 
 import math
@@ -295,3 +296,60 @@ def naive_align(a, b):
     if len(keep) < 2:
         raise UnusablePairError(f"aligned pair has {len(keep)} usable positions, need >= 2")
     return tuple(sym_a[i] for i in keep), tuple(sym_b[i] for i in keep)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _naive_mix64(z):
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+class NaiveStream:
+    """xorshift64* one word per call: ``state`` and ``spare`` are the stream's whole state."""
+
+    def __init__(self, state):
+        self.state = state
+        self.spare = None
+
+    def next_u64(self):
+        x = self.state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * 0x2545F4914F6CDD1D) & _MASK64
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def bit(self):
+        return self.next_u64() >> 63
+
+    def normal(self):
+        if self.spare is not None:
+            value, self.spare = self.spare, None
+            return value
+        u1 = 1.0 - self.uniform()
+        u2 = self.uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self.spare = radius * math.sin(theta)
+        return radius * math.cos(theta)
+
+    def sample_without_replacement(self, n, k):
+        pool = list(range(n))
+        for i in range(k):
+            j = i + int(self.uniform() * (n - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+
+def naive_stream(seed, stream_index=0):
+    """The stream ``RngStream(seed, stream_index)`` should give, from the documented derivation."""
+    state = _naive_mix64(_naive_mix64((seed + (stream_index + 1) * 0x9E3779B97F4A7C15) & _MASK64))
+    return NaiveStream(state or 0x9E3779B97F4A7C15)

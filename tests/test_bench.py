@@ -432,13 +432,20 @@ class TestUserFileBytes:
 
 
 class TestBenchSpecValues:
-    def _bench(self, tmp_path, family, param, values, length):
+    def _bench(self, tmp_path, family, param, values, length, drop=0):
         spec = tmp_path / "spec.cfg"
         spec.write_text(
             f"family={family}\nparam={param}\nvalues={values}\n"
-            f"length={length}\ndrop=0\ntrials=1\nseed=3\n"
+            f"length={length}\ndrop={drop}\ntrials=1\nseed=3\n"
         )
         return cli.main(["bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")])
+
+    @pytest.mark.parametrize("family, param, value", (("ar1", "phi", "0.5"), ("skew_tent", "eta", "0.5")))
+    @pytest.mark.parametrize("length, drop", ((10, -5), (-1, -2)))
+    def test_negative_drop_exits_1(self, tmp_path, capsys, family, param, value, length, drop):
+        assert self._bench(tmp_path, family, param, value, length, drop) == 1
+        assert f"error: drop must be >= 0, got {drop}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_sparse_k_above_length_exits_1(self, tmp_path, capsys):
         assert self._bench(tmp_path, "sparse", "k", "20", 10) == 1

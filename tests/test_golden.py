@@ -5,12 +5,20 @@ The demo text, two ``dpe infer`` reports with their pattern graphs, one
 produced in-process through ``cli.main`` and compared with digests recorded
 from the program. Pattern order sets the report rows and the summation order
 of ``h_bar``, so a refactor that reorders anything shows up here.
+
+The generator digests cover ``generate_trial`` for every family at several
+values, seeds, stream indices and lengths (none a multiple of the random
+stream's block size), with the stream's next word after the trial.
 """
 
 import hashlib
 import random
 
+import pytest
+
 from dpe import cli
+from dpe.rng import RngStream
+from dpe.synth import generate_trial
 
 DIGESTS = {
     "demo": "9dfc298ce9da4c1af1a7aacb0feaa1975435d3b38c8f743ccebffd1e70921262",
@@ -72,3 +80,34 @@ def _capture(tmp_path, capsys):
 def test_outputs_match_recorded_digests(tmp_path, capsys):
     got = {name: hashlib.sha256(data).hexdigest() for name, data in _capture(tmp_path, capsys).items()}
     assert got == DIGESTS
+
+
+# (family, value, length, drop, seed, stream index) -> sha256
+GENERATOR_DIGESTS = {
+    ("delay_bitflip", 0.0, 8, 0, 0, 0): "657b7b5a10d09398ecf77a8faba84efd44b91954b006443c0f39e1079c329216",
+    ("delay_bitflip", 3.0, 101, 0, 42, 5): "70b4635efd1ec6553d09e0f0274dd9853ce46d02d33d5879d77a852329485c85",
+    ("delay_bitflip", 6.0, 1023, 0, 2**64 - 1, 7): "adf1fa0abdfbe464b8cb00393743b5fb9c29338bcf687b1ecb982b3db88cb769",
+    ("delay_bitflip", 2.0, 4097, 0, 12345, 0): "e9ba55b6a7f4d2af50b0c763a4b259fcd5ea62900941c8edf5a2faaf10bc8c10",
+    ("delay_bitflip", 5.0, 9001, 0, -3, 299): "3a03f497d372592caeb2555841e49ee97d08641ae732128c7372b0c25af5319e",
+    ("ar1", 0.0, 10, 0, 0, 0): "9ba0a7059ab088b0aa5b3c80b76dce6e46e05111a2f81feb7a1d4759fddf76a7",
+    ("ar1", 0.35, 1500, 500, 42, 1): "0ff43d1901f9461bb71df02ee33ab11f832e5fbcab1c0bd0b5ac9dea5989e094",
+    ("ar1", 0.95, 777, 33, 2**63 + 11, 299): "6c061f04c76c441bdb00f38a200964aaa7f8eec96e116bea6c02572a0568c499",
+    ("ar1", 0.5, 4099, 99, 7, 10**6): "f843832ac45d111a51e08e7aec7506ebeb41769b5e9c50675f8c2d15469ae086",
+    ("skew_tent", 0.0, 10, 3, 0, 0): "5ae570b8b6701eef266a438e481fde74658a605ad084fabe38977b4e7aa3f289",
+    ("skew_tent", 0.3, 1500, 500, 42, 2): "66980e9ac1b35fe416377310420b9f3f1413367400a96862257cb38f911ee5ca",
+    ("skew_tent", 0.9, 333, 1, -3, 17): "137ab2d0359153fa87e4d9a375c3c0f0308b42ad348af2d1fcd6a4d7c685618d",
+    ("sparse", 1.0, 50, 0, 0, 0): "978aad8abce19130d2942a3076099fffcee0d5565c9594787a3acb18e2e292de",
+    ("sparse", 25.0, 2000, 0, 42, 3): "604567bfd6bbe496418c55fb33c881497c7dda46d5e53e8f058f6d762b5d72fc",
+    ("sparse", 50.0, 1237, 0, 2**64 - 1, 299): "90653e67c9188bca052e6873cf7b21ddf83c230aebe579d024b16baa4827c5b6",
+    ("sparse", 17.0, 4500, 0, 9, 10**6): "9e9494889057627fdded5e010b1bc00e51b4e757335f087a2d33efba8f68b0f5",
+}
+
+
+@pytest.mark.parametrize("case", GENERATOR_DIGESTS)
+def test_generated_trials_match_recorded_digests(case):
+    family, value, length, drop, seed, stream_index = case
+    rng = RngStream(seed, stream_index)
+    pair = generate_trial(family, value, length, drop, rng)
+    digest = hashlib.sha256(bytes(pair.x.symbols) + b"|" + bytes(pair.y.symbols) + b"|")
+    digest.update(f"{pair.ground_truth.value}|{rng.next_u64()}".encode())
+    assert digest.hexdigest() == GENERATOR_DIGESTS[case]

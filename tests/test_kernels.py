@@ -332,6 +332,26 @@ class TestLookupSides:
     def test_counts_on_each_side_of_the_cap(self, alphabet, length, space):
         self.check_counts(alphabet, length, space)
 
+    @pytest.mark.parametrize("alphabet, short, space", ((4, 4, 4**8), (4, 8, 4**16)))
+    def test_lengths_of_one_level_see_no_stale_keys(self, alphabet, short, space):
+        # the all-zero patterns of lengths short and short + 1 share a key, so
+        # a table left as the shorter length wrote it would credit every zero
+        # window of the longer length to the longer length's first pattern
+        rng = random.Random(short)
+        cause = bytes(rng.randrange(1, alphabet) for _ in range(150))
+        cause = cause[:60] + bytes(3 * short) + cause[60:]
+        effect = flip_effect(len(cause), 0.2, seed=short)
+        patterns = [bytes(short), cause[: short + 1], cause[100 : 101 + short]]
+        assert len(set(patterns)) == 3
+        want = [find_response(p, cause, effect) for p in patterns]
+        for chunk in BUDGETS:
+            table, search = lookups()
+            with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search:
+                n_occ, n_change = core._occurrences(cause, effect, patterns)
+            assert list(zip(n_occ.tolist(), n_change.tolist())) == want
+            took, skipped = (table, search) if space <= chunk else (search, table)
+            assert took.call_count == 2 and skipped.call_count == 0
+
     def test_short_cause_takes_the_table_at_a_rank_keyed_level(self):
         # 256-ary ids rank from level 2 (2**32 >= 2**31 packed), so a short
         # cause's key space for lengths 4..7 is its distinct 4-blocks squared

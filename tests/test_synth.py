@@ -1,11 +1,19 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
+from oracles import naive_stream
 
+from dpe import rng as rng_module
 from dpe.errors import InputError
 from dpe.rng import RngStream
 from dpe.seqcore import Direction
 from dpe.synth import (
+    FAMILIES,
     SPARSE_N,
     TrialSpec,
     delayed_flip_indicator,
@@ -48,6 +56,65 @@ class TestRngStream:
         picks = rng.sample_without_replacement(100, 30)
         assert len(picks) == len(set(picks)) == 30
         assert all(0 <= p < 100 for p in picks)
+
+
+_B = rng_module._BLOCK
+_CHUNK = rng_module._LANES * _B  # longest draw the cached jump rows cover in one pass
+EDGE_COUNTS = (0, 1, 2, 3, 5, _B - 1, _B, _B + 1, 2 * _B + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+SCALAR_DRAWS = ("next_u64", "uniform", "bit", "normal")
+BLOCK_DRAWS = {"_words": "next_u64", "uniforms": "uniform", "bits": "bit", "normals": "normal"}
+
+draw_plans = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(SCALAR_DRAWS), st.just(1)),
+        st.tuples(st.sampled_from(sorted(BLOCK_DRAWS)),
+                  st.one_of(st.integers(0, 40), st.sampled_from(EDGE_COUNTS))),
+        st.tuples(st.just("sample"), st.integers(0, 60)),
+    ),
+    max_size=6,
+)
+
+
+class TestBlockDraws:
+    """Block draws against the one-number-per-call oracle: same values, same final state."""
+
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        stream_index=st.integers(0, 10**6),
+        plan=draw_plans,
+    )
+    def test_any_plan_matches_the_scalar_oracle(self, seed, stream_index, plan):
+        stream, oracle = RngStream(seed, stream_index), naive_stream(seed, stream_index)
+        assert stream._state == oracle.state
+        for op, count in plan:
+            if op in SCALAR_DRAWS:
+                got, want = getattr(stream, op)(), getattr(oracle, op)()
+                assert type(got) is type(want)
+            elif op == "sample":
+                got = stream.sample_without_replacement(count + 3, count)
+                want = oracle.sample_without_replacement(count + 3, count)
+            else:
+                got = getattr(stream, op)(count).tolist()
+                want = [getattr(oracle, BLOCK_DRAWS[op])() for _ in range(count)]
+            assert got == want, (op, count)
+        assert (stream._state, stream._spare_normal) == (oracle.state, oracle.spare)
+
+    @pytest.mark.parametrize("count", EDGE_COUNTS)
+    @pytest.mark.parametrize("spare", (False, True))
+    def test_edge_counts_of_normals(self, count, spare):
+        stream, oracle = RngStream(11, 3), naive_stream(11, 3)
+        if spare:  # an odd draw leaves a spare that the next block must hand out first
+            assert stream.normals(1).tolist() == [oracle.normal()]
+        assert stream.normals(count).tolist() == [oracle.normal() for _ in range(count)]
+        assert (stream._state, stream._spare_normal) == (oracle.state, oracle.spare)
+
+    def test_jump_rows_are_built_on_first_draw_and_stay_small(self):
+        src = Path(rng_module.__file__).resolve().parents[1]
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import dpe; from dpe import rng; "
+                "assert rng._jump.cache_info().currsize == 0; rng.RngStream(1).uniforms(100); "
+                "assert rng._jump.cache_info().currsize == 1; print(rng._jump().nbytes)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert int(out.stdout) <= 256 * 1024
 
 
 class TestDelayedBitflip:
@@ -189,6 +256,16 @@ class TestTrialSpec:
             TrialSpec("ar1", "phi", (0.1,), 100, 100, 10, 1)
         with pytest.raises(InputError):
             TrialSpec("ar1", "phi", (0.1,), 100, 0, 0, 1)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_negative_drop_is_an_input_error(self, family):
+        with pytest.raises(InputError, match="drop must be >= 0, got -5"):
+            TrialSpec(family, "p", (1.0,) if family == "sparse" else (0.0,), 10, -5, 1, 1)
+
+    @pytest.mark.parametrize("family", ("ar1", "skew_tent"))
+    def test_generators_reject_a_negative_drop(self, family):
+        with pytest.raises(InputError, match="drop must be >= 0, got -5"):
+            generate_trial(family, 0.5, 10, -5, RngStream(1, 0))
 
     def test_generate_trial_dispatch(self):
         for family, value, length, drop in (
