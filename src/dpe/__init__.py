@@ -11,11 +11,9 @@ from .baselines import (
 )
 from .bench import (
     GenomicHypothesisResult,
-    PredatorPreyResult,
     SweepResult,
     emit_results,
     run_genomic,
-    run_predator_prey,
     run_sweep,
 )
 from .core import (
@@ -25,7 +23,6 @@ from .core import (
     FlipDictionary,
     PatternScore,
     PatternSet,
-    attribute_patterns,
     binary_entropy,
     build_flip_dictionary,
     build_pattern_set,

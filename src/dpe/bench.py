@@ -1,4 +1,4 @@
-"""Monte-Carlo sweep harness, genomic hypothesis counting, and the ecology case.
+"""Monte-Carlo sweep harness and genomic hypothesis counting.
 
 Trials are independently seeded through per-trial streams (global trial
 ordinal = value_index * trials + trial_index), so any execution order,
@@ -16,16 +16,10 @@ from functools import partial
 from pathlib import Path
 
 from .baselines import BASELINE_METHODS, baseline_verdicts
-from .core import CausalReport, infer_causal_direction
+from .core import infer_causal_direction
 from .errors import DegenerateSeriesWarning, InputError, UnusablePairError
 from .rng import RngStream
-from .seqcore import (
-    Direction,
-    FastaRecord,
-    RealSeries,
-    align_pair,
-    binarize_equiwidth,
-)
+from .seqcore import Direction, FastaRecord, align_pair
 from .synth import TrialSpec, generate_trial
 
 ALL_METHODS = ("dpe",) + BASELINE_METHODS
@@ -222,33 +216,3 @@ def genomic_csv_text(results: list[GenomicHypothesisResult]) -> str:
             f"{r.country},{r.n_sequences},{h0},{h1},{r.n_skipped_h0},{r.n_skipped_h1}"
         )
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class PredatorPreyResult:
-    report: CausalReport
-    n_used: int
-    degenerate_x: bool
-    degenerate_y: bool
-
-
-def run_predator_prey(
-    series_pred: RealSeries, series_prey: RealSeries, drop: int = 9
-) -> PredatorPreyResult:
-    """Drop leading transients, binarize equi-width, and infer the direction.
-
-    x is the predator, y the prey; the interesting outcome is the verdict and
-    the strength (absolute difference of the two average entropies).
-    """
-    if len(series_pred) != len(series_prey):
-        raise InputError("predator and prey series must have equal length")
-    if len(series_pred) <= drop:
-        raise InputError(f"need more than {drop} points, got {len(series_pred)}")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateSeriesWarning)
-        bx = binarize_equiwidth(series_pred.drop_first(drop))
-        n_before = len(caught)
-        by = binarize_equiwidth(series_prey.drop_first(drop))
-        degenerate_x, degenerate_y = n_before > 0, len(caught) > n_before
-    report = infer_causal_direction(bx, by)
-    return PredatorPreyResult(report, len(bx), degenerate_x, degenerate_y)

@@ -160,9 +160,13 @@ def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.nda
 def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Index of the first entry, by rank and then position, of each content, in that order.
 
-    (length, key, rank, position) are packed into one int64 when their bit
-    widths, taken from the maxima, add up to at most 63: one plain sort then
-    orders the entries and one more orders the firsts. Wider inputs lexsort.
+    The kernels' one content dedupe: it keeps the flip dictionary's first
+    segments (``build_flip_dictionary``), each width's first windows in
+    extraction (``_first_windows``) and the first runs of each merge
+    (``_pattern_bytes``). (length, key, rank, position) are packed into one
+    int64 when their bit widths, taken from the maxima, add up to at most 63:
+    one plain sort then orders the entries and one more orders the firsts.
+    Wider inputs lexsort.
     """
     n = len(lengths)
     index_bits = max(n - 1, 0).bit_length()
@@ -234,11 +238,7 @@ def _first_windows(
     spread = offsets[seg + 1] - offsets[seg] - width + 1
     start, width = _ranges(offsets[seg], spread), np.repeat(width, spread)
     keys = _content_keys(ids, bound, start, width)
-    order = np.argsort(keys, kind="stable")  # equal keys stay in (width, position) order
-    keys, ordered = keys[order], width[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (keys[1:] != keys[:-1]) | (ordered[1:] != ordered[:-1])
-    kept = np.sort(order[head])
+    kept = _first_by_content(width, keys, np.zeros_like(width))
     return start[kept], width[kept]
 
 
@@ -529,6 +529,8 @@ def score_direction(
 
 
 def _rank_patterns(winning: DirectionalScore) -> tuple[AttributedPattern, ...]:
+    """Winning-direction patterns by weighted entropy, then weight; a flip ratio
+    of exactly 1 marks a trigger, exactly 0 a preserver."""
     ranked = sorted(
         winning.pattern_scores,
         key=lambda s: (s.h_weighted, -s.weight, s.pattern.data),
@@ -542,16 +544,6 @@ def _rank_patterns(winning: DirectionalScore) -> tuple[AttributedPattern, ...]:
             role = "trigger"
         out.append(AttributedPattern(s, role))
     return tuple(out)
-
-
-def attribute_patterns(report: CausalReport) -> tuple[AttributedPattern, ...]:
-    """Winning-direction patterns ranked by weighted entropy, then weight.
-
-    Patterns with flip ratio exactly 1 are flagged as triggers, ratio exactly
-    0 as preservers. An independent verdict yields an empty list. The ranking
-    is the one ``infer_causal_direction`` stored in the report.
-    """
-    return report.deterministic_patterns
 
 
 def infer_causal_direction(x: SymbolSequence, y: SymbolSequence) -> CausalReport:

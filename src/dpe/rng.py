@@ -7,7 +7,7 @@ isolation and trials may run in any order or in parallel. All arithmetic is
 platforms. Normal variates come from the Box-Muller transform with the spare
 value cached.
 
-Exact derivation, for reimplementation elsewhere:
+Exact derivation, one number at a time, for reimplementation elsewhere:
 
     state = mix64(mix64((seed + (stream_index + 1) * 0x9E3779B97F4A7C15) mod 2^64))
     if state == 0: state = 0x9E3779B97F4A7C15
@@ -15,22 +15,22 @@ Exact derivation, for reimplementation elsewhere:
     mix64(z): z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
               z *= 0x94D049BB133111EB; z ^= z >> 31      (all mod 2^64)
 
-    next_u64(): state ^= state >> 12; state ^= state << 25; state ^= state >> 27;
-                return (state * 0x2545F4914F6CDD1D) mod 2^64
+    word:    state ^= state >> 12; state ^= state << 25; state ^= state >> 27;
+             word = (state * 0x2545F4914F6CDD1D) mod 2^64
+    uniform = (word >> 11) * 2^-53                         in [0, 1)
+    bit     = word >> 63
+    normal:  u1 = 1 - uniform in (0, 1]; u2 = uniform;
+             r = sqrt(-2 ln u1); r*cos(2 pi u2), then the spare r*sin(2 pi u2)
 
-    uniform()  = (next_u64() >> 11) * 2^-53                 in [0, 1)
-    normal(): u1 = 1 - uniform() in (0, 1]; u2 = uniform();
-              r = sqrt(-2 ln u1); return r*cos(2 pi u2), caching r*sin(2 pi u2)
-
-Draws are made a block at a time, and the derivation and the streams are the
-same as drawing one number per call. Without the output multiply the
+Draws are made a block at a time, and the streams are the same as drawing
+one number after another as above. Without the output multiply the
 xorshift64 step T is linear over GF(2), so T^t(s) is the XOR of T^t(e_j) over
 the set bits j of s (the jump-ahead of Haramoto et al. 2008). A draw of n
 numbers splits into lanes of ``_BLOCK`` consecutive states, finds every lane's
 start with one masked XOR-reduce of the cached rows T^(k * _BLOCK)(e_j), steps
 all lanes in lockstep on uint64 arrays and reads them back in stream order.
 Box-Muller takes its logarithms, cosines and sines from ``math``, whose last
-bit can differ from numpy's. The scalar draws are blocks of one.
+bit can differ from numpy's.
 """
 
 from __future__ import annotations
@@ -161,21 +161,6 @@ class RngStream:
         if (n - head) % 2:
             self._spare_normal = float(values[-1])
         return out
-
-    def next_u64(self) -> int:
-        return int(self._words(1)[0])
-
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) built from the top 53 bits."""
-        return float(self.uniforms(1)[0])
-
-    def bit(self) -> int:
-        """Single fair bit (the top bit of the next word)."""
-        return int(self.bits(1)[0])
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes two uniforms per pair."""
-        return float(self.normals(1)[0])
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct integers from range(n), by partial Fisher-Yates shuffle."""

@@ -45,6 +45,8 @@ SPARSE_NOISE_SD = 0.1  # scale of the N(0, 0.1) noise, read as a standard deviat
 
 TRIGGER_PATTERN = (1, 1, 0, 1)
 
+CONFIG_KEYS = ("family", "param", "values", "length", "drop", "trials", "seed")
+
 
 @dataclass(frozen=True)
 class TrialSpec:
@@ -79,9 +81,13 @@ class TrialSpec:
                 continue
             if "=" not in line:
                 raise InputError(f"config line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-        missing = {"family", "param", "values", "length", "drop", "trials", "seed"} - set(fields)
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in CONFIG_KEYS:
+                raise InputError(f"config line {lineno}: unknown key {key!r}")
+            if key in fields:
+                raise InputError(f"config line {lineno}: key {key!r} is given more than once")
+            fields[key] = value
+        missing = set(CONFIG_KEYS) - set(fields)
         if missing:
             raise InputError(f"config missing keys: {', '.join(sorted(missing))}")
         try:
@@ -103,11 +109,15 @@ def check_trial_value(family: str, value: float, length: int, drop: int) -> None
     """Raise InputError unless ``value`` is a valid parameter of ``family``.
 
     ``family`` is one of FAMILIES; ``length`` and ``drop`` are the trial's
-    sizes (``length`` is the series length n of sparse). ``TrialSpec`` checks
-    every swept value with it, and each generator checks its own arguments.
+    sizes (``length`` is the series length n of sparse, and only the
+    real-valued families drop transients). ``TrialSpec`` checks every swept
+    value with it, ``generate_trial`` each trial, and each generator its own
+    arguments.
     """
     if drop < 0:
         raise InputError(f"drop must be >= 0, got {drop}")
+    if family in ("delay_bitflip", "sparse") and drop:
+        raise InputError(f"{family} drops no transients, got drop={drop}")
     if family in ("delay_bitflip", "sparse") and not float(value).is_integer():
         raise InputError(f"{family} needs a whole-number parameter value, got {value}")
     if family == "delay_bitflip":
@@ -240,6 +250,7 @@ def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
 
 def generate_trial(family: str, value: float, length: int, drop: int, rng: RngStream) -> SequencePair:
     """Dispatch one trial of any family; ``value`` is the swept parameter."""
+    check_trial_value(family, value, length, drop)
     if family == "delay_bitflip":
         return gen_delayed_bitflip(length, value, rng)
     if family == "ar1":

@@ -15,7 +15,8 @@ import pytest
 
 from oracles import naive_count
 from dpe.baselines import baseline_direction, etc_complexity, lz76_complexity
-from dpe.bench import run_predator_prey, run_sweep
+from dpe.bench import run_sweep
+from dpe.cli import main as cli_main
 from dpe.core import (
     binary_entropy,
     build_flip_dictionary,
@@ -26,7 +27,7 @@ from dpe.core import (
     score_direction,
 )
 from dpe.rng import RngStream
-from dpe.seqcore import Direction, SymbolSequence, load_pair_csv
+from dpe.seqcore import Direction, SymbolSequence
 from dpe.synth import TrialSpec
 
 SEED = 42
@@ -180,9 +181,9 @@ def test_criterion_7_property_suites():
     # flip-ratio bookkeeping and dictionary invariants on random pairs
     rng = RngStream(SEED, 1)
     for _ in range(80):
-        n = 10 + int(rng.uniform() * 50)
-        cause = SymbolSequence(tuple(rng.bit() for _ in range(n)), 2)
-        effect = SymbolSequence(tuple(rng.bit() for _ in range(n)), 2)
+        n = 10 + int(rng.uniforms(1)[0] * 50)
+        cause = SymbolSequence(rng.bits(n).tolist(), 2)
+        effect = SymbolSequence(rng.bits(n).tolist(), 2)
         dictionary = build_flip_dictionary(cause, effect)
         spans_total = 0
         for seg in dictionary.segments:
@@ -196,9 +197,9 @@ def test_criterion_7_property_suites():
 
     # swap antisymmetry
     for _ in range(100):
-        n = 4 + int(rng.uniform() * 40)
-        x = SymbolSequence(tuple(rng.bit() for _ in range(n)), 2)
-        y = SymbolSequence(tuple(rng.bit() for _ in range(n)), 2)
+        n = 4 + int(rng.uniforms(1)[0] * 40)
+        x = SymbolSequence(rng.bits(n).tolist(), 2)
+        y = SymbolSequence(rng.bits(n).tolist(), 2)
         fwd = infer_causal_direction(x, y)
         rev = infer_causal_direction(y, x)
         ok &= fwd.score_xy.h_bar == rev.score_yx.h_bar
@@ -214,10 +215,8 @@ def test_criterion_7_property_suites():
     # self-independence for 500 random sequences
     for i in range(500):
         alphabet = 2 + i % 3
-        n = 2 + int(rng.uniform() * 80)
-        s = SymbolSequence(
-            tuple(int(rng.uniform() * alphabet) for _ in range(n)), alphabet
-        )
+        n = 2 + int(rng.uniforms(1)[0] * 80)
+        s = SymbolSequence([int(u * alphabet) for u in rng.uniforms(n).tolist()], alphabet)
         ok &= infer_causal_direction(s, s).verdict == Direction.INDEPENDENT
 
     # exhaustive occurrence-count oracle: binary sequences len <= 12,
@@ -243,13 +242,13 @@ def test_criterion_8_baseline_primitives():
         ok &= etc_complexity(SymbolSequence((0,) * n, 2)).raw == 0
     rng = RngStream(SEED, 2)
     for _ in range(1000):
-        n = 1 + int(rng.uniform() * 40)
-        s = SymbolSequence(tuple(rng.bit() for _ in range(n)), 2)
+        n = 1 + int(rng.uniforms(1)[0] * 40)
+        s = SymbolSequence(rng.bits(n).tolist(), 2)
         ok &= etc_complexity(s).raw <= max(n - 1, 0)
     for _ in range(60):
-        n = 4 + int(rng.uniform() * 30)
-        x = SymbolSequence(tuple(rng.bit() for _ in range(n)), 2)
-        y = SymbolSequence(tuple(rng.bit() for _ in range(n)), 2)
+        n = 4 + int(rng.uniforms(1)[0] * 30)
+        x = SymbolSequence(rng.bits(n).tolist(), 2)
+        y = SymbolSequence(rng.bits(n).tolist(), 2)
         for method in ("lzp", "etcp", "etce"):
             fwd = baseline_direction(method, x, y)
             rev = baseline_direction(method, y, x)
@@ -284,10 +283,11 @@ PREDATOR_PREY_CSV = Path(__file__).resolve().parent.parent / "data" / "predator_
 
 
 @pytest.mark.skipif(not PREDATOR_PREY_CSV.exists(), reason="optional ecology fixture not bundled")
-def test_optional_predator_prey_fixture():
-    pred, prey = load_pair_csv(PREDATOR_PREY_CSV)
-    result = run_predator_prey(pred, prey)
-    assert result.report.verdict == Direction.X_CAUSES_Y
-    assert result.report.score_xy.h_bar == pytest.approx(0.1700, abs=5e-4)
-    assert result.report.score_yx.h_bar == pytest.approx(0.2825, abs=5e-4)
-    assert result.report.strength == pytest.approx(0.1125, abs=5e-4)
+def test_optional_predator_prey_fixture(tmp_path):
+    out = tmp_path / "report.txt"
+    assert cli_main(["infer", "--input", str(PREDATOR_PREY_CSV), "--drop", "9", "--out", str(out)]) == 0
+    head = dict(line.split(": ") for line in out.read_text().splitlines()[:4])
+    assert head["verdict"] == Direction.X_CAUSES_Y.value
+    assert float(head["h_bar_x_to_y"]) == pytest.approx(0.1700, abs=5e-4)
+    assert float(head["h_bar_y_to_x"]) == pytest.approx(0.2825, abs=5e-4)
+    assert float(head["strength_bits"]) == pytest.approx(0.1125, abs=5e-4)

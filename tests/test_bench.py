@@ -5,16 +5,14 @@ import pytest
 
 from dpe import bench, cli
 from dpe.bench import (
-    PredatorPreyResult,
     emit_results,
     genomic_csv_text,
     results_csv_text,
     run_genomic,
-    run_predator_prey,
     run_sweep,
 )
-from dpe.errors import InputError
-from dpe.seqcore import Direction, RealSeries, load_fasta
+from dpe.errors import DegenerateSeriesWarning, InputError
+from dpe.seqcore import Direction, load_fasta
 from dpe.synth import TrialSpec
 
 
@@ -232,30 +230,38 @@ class TestRunGenomic:
         assert result.proportion_h0 == pytest.approx(hits / 3)
 
 
+def write_rows(path, rows):
+    path.write_text("".join(f"{a},{b}\n" for a, b in rows))
+    return str(path)
+
+
 class TestPredatorPrey:
-    def test_drops_transients_and_reports(self):
-        pred = RealSeries(tuple(float(i % 7) for i in range(71)))
-        prey = RealSeries(tuple(float((i + 3) % 5) for i in range(71)))
-        result = run_predator_prey(pred, prey)
-        assert isinstance(result, PredatorPreyResult)
-        assert result.n_used == 62
-        assert result.report.verdict in (
-            Direction.X_CAUSES_Y,
-            Direction.Y_CAUSES_X,
-            Direction.INDEPENDENT,
+    """The ecology case: ``dpe infer --drop 9`` drops the leading transients."""
+
+    def test_drops_transients_and_reports(self, tmp_path):
+        rows = [(float(i % 7), float((i + 3) % 5)) for i in range(71)]
+        full = write_rows(tmp_path / "full.csv", rows)
+        trimmed = write_rows(tmp_path / "trimmed.csv", rows[9:])
+        assert cli.main(["infer", "--input", full, "--drop", "9", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["infer", "--input", trimmed, "--out", str(tmp_path / "b")]) == 0
+        report = (tmp_path / "a").read_text()
+        assert report == (tmp_path / "b").read_text()
+        assert report.splitlines()[0] in (
+            f"verdict: {d.value}"
+            for d in (Direction.X_CAUSES_Y, Direction.Y_CAUSES_X, Direction.INDEPENDENT)
         )
 
-    def test_too_short_rejected(self):
-        s = RealSeries(tuple(float(i) for i in range(9)))
-        with pytest.raises(InputError):
-            run_predator_prey(s, s)
+    def test_too_short_rejected(self, tmp_path, capsys):
+        short = write_rows(tmp_path / "short.csv", [(float(i), float(i)) for i in range(9)])
+        assert cli.main(["infer", "--input", short, "--drop", "9"]) == 1
+        assert "error: --drop 9 leaves no data (have 9 rows)" in capsys.readouterr().err
 
-    def test_constant_series_degenerate_independent(self):
-        pred = RealSeries((3.0,) * 20)
-        prey = RealSeries((5.0,) * 20)
-        result = run_predator_prey(pred, prey)
-        assert result.degenerate_x and result.degenerate_y
-        assert result.report.verdict == Direction.INDEPENDENT
+    def test_constant_series_degenerate_independent(self, tmp_path, capsys):
+        flat = write_rows(tmp_path / "flat.csv", [(3.0, 5.0)] * 20)
+        with pytest.warns(DegenerateSeriesWarning) as caught:
+            assert cli.main(["infer", "--input", flat, "--drop", "9"]) == 0
+        assert [w.category for w in caught] == [DegenerateSeriesWarning] * 2
+        assert capsys.readouterr().out.startswith("verdict: independent\n")
 
 
 def run_cli(*args, cwd=None):
@@ -445,6 +451,31 @@ class TestBenchSpecValues:
     def test_negative_drop_exits_1(self, tmp_path, capsys, family, param, value, length, drop):
         assert self._bench(tmp_path, family, param, value, length, drop) == 1
         assert f"error: drop must be >= 0, got {drop}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("family, param, value, length", (
+        ("sparse", "k", "5", 2000), ("delay_bitflip", "delay", "2", 100)))
+    def test_drop_of_a_family_without_transients_exits_1(
+        self, tmp_path, capsys, monkeypatch, family, param, value, length
+    ):
+        trials = []
+        monkeypatch.setattr(bench, "generate_trial", lambda *args: trials.append(args))
+        assert self._bench(tmp_path, family, param, value, length, length - 1) == 1
+        assert f"error: {family} drops no transients, got drop={length - 1}" in capsys.readouterr().err
+        assert trials == [] and not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("extra, message", (
+        ("trials=2\n", "config line 8: key 'trials' is given more than once"),
+        ("method=lzp\n", "config line 8: unknown key 'method'"),
+    ))
+    def test_unknown_or_repeated_spec_key_exits_1(self, tmp_path, capsys, extra, message):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(
+            "family=delay_bitflip\nparam=delay\nvalues=1.0\n"
+            "length=64\ndrop=0\ntrials=1\nseed=5\n" + extra
+        )
+        assert cli.main(["bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
     def test_sparse_k_above_length_exits_1(self, tmp_path, capsys):

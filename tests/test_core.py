@@ -6,7 +6,6 @@ import pytest
 from dpe.core import (
     LABEL_XY,
     LABEL_YX,
-    attribute_patterns,
     binary_entropy,
     build_flip_dictionary,
     build_pattern_set,
@@ -236,20 +235,20 @@ class TestInferCausalDirection:
 class TestAttributePatterns:
     def test_demo_triggers_and_preservers(self):
         report = infer_causal_direction(X, Y)
-        ranked = attribute_patterns(report)
+        ranked = report.deterministic_patterns
         roles = {ap.score.pattern.text(): ap.role for ap in ranked}
         assert {p for p, r in roles.items() if r == "trigger"} == {"011101", "1101", "11101"}
         assert {p for p, r in roles.items() if r == "preserver"} == {"0110", "110"}
 
     def test_ranked_by_weighted_entropy_then_weight(self):
-        ranked = attribute_patterns(infer_causal_direction(X, Y))
+        ranked = infer_causal_direction(X, Y).deterministic_patterns
         hws = [ap.score.h_weighted for ap in ranked]
         assert hws == sorted(hws)
         zero_weights = [ap.score.weight for ap in ranked if ap.score.h_weighted == 0.0]
         assert zero_weights == sorted(zero_weights, reverse=True)
 
     def test_independent_verdict_empty(self):
-        assert attribute_patterns(infer_causal_direction(X, X)) == ()
+        assert infer_causal_direction(X, X).deterministic_patterns == ()
 
 
 class TestPatternGraph:

@@ -173,6 +173,52 @@ class TestFirstByContent:
         assert first_by_content(*np.zeros((3, 0), dtype=np.int64)) == ([], False)
 
 
+def naive_first_windows(segments, pairs):
+    """(start, width) of the first window in data of each (width, content), pairs taken in order."""
+    data, offsets = b"".join(segments), [0]
+    for segment in segments:
+        offsets.append(offsets[-1] + len(segment))
+    seen, out = set(), []
+    for w, s in pairs:
+        for start in range(offsets[s], offsets[s + 1] - w + 1):
+            if (w, data[start : start + w]) not in seen:
+                seen.add((w, data[start : start + w]))
+                out.append((start, w))
+    return out
+
+
+@st.composite
+def window_pairs(draw, alphabet, widths, min_length, min_pairs):
+    """Segments of at least ``min_length`` symbols from a small palette, each led by the
+    top symbol, and at least ``min_pairs`` (width, segment) pairs in (width, segment) order."""
+    palette = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3, unique=True))
+    body = st.lists(st.sampled_from(palette), min_size=min_length - 1, max_size=min_length + 40)
+    segments = [bytes([alphabet - 1] + b) for b in draw(st.lists(body, min_size=3, max_size=5))]
+    cells = st.tuples(st.sampled_from(widths), st.integers(0, len(segments) - 1))
+    return segments, sorted(draw(st.sets(cells, min_size=min_pairs, max_size=12)))
+
+
+class TestFirstWindows:
+    """Each width's windows are deduplicated by ``_first_by_content`` on both of its sides."""
+
+    @pytest.mark.parametrize("alphabet, widths, min_length, min_pairs, wide", (
+        (2, range(2, 13), 12, 1, False),
+        # ternary windows of 16-31 symbols led by a 2 have level-4 keys of 51 bits: with
+        # 5 bits of width and 8 of position (6 pairs of at least 34 windows) they lexsort
+        (3, range(16, 32), 64, 6, True),
+    ))
+    @given(data=st.data())
+    def test_matches_first_window_reference(self, alphabet, widths, min_length, min_pairs, wide, data):
+        segments, pairs = data.draw(window_pairs(alphabet, widths, min_length, min_pairs))
+        ids, bound = core._block_ids(np.frombuffer(b"".join(segments), dtype=np.uint8), max(widths))
+        offsets = np.cumsum([0] + [len(s) for s in segments])
+        width, seg = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            start, width = core._first_windows(ids, bound, offsets, width, seg)
+        assert list(zip(start.tolist(), width.tolist())) == naive_first_windows(segments, pairs)
+        assert lexsort.called == wide
+
+
 @st.composite
 def crowded_segment_lists(draw):
     # one or two symbols and short segments: widths have many members and windows repeat

@@ -30,22 +30,22 @@ class TestRngStream:
     def test_identical_streams_replay(self):
         a = RngStream(123, 7)
         b = RngStream(123, 7)
-        assert [a.next_u64() for _ in range(20)] == [b.next_u64() for _ in range(20)]
+        assert a._words(20).tolist() == b._words(20).tolist()
 
     def test_distinct_streams_differ(self):
         a = RngStream(123, 0)
         b = RngStream(123, 1)
-        assert [a.next_u64() for _ in range(4)] != [b.next_u64() for _ in range(4)]
+        assert a._words(4).tolist() != b._words(4).tolist()
 
     def test_uniform_in_unit_interval(self):
         rng = RngStream(5)
-        draws = [rng.uniform() for _ in range(2000)]
+        draws = rng.uniforms(2000).tolist()
         assert all(0.0 <= u < 1.0 for u in draws)
         assert 0.4 < sum(draws) / len(draws) < 0.6
 
     def test_normal_moments(self):
         rng = RngStream(5)
-        draws = [rng.normal() for _ in range(4000)]
+        draws = rng.normals(4000).tolist()
         mean = sum(draws) / len(draws)
         var = sum((d - mean) ** 2 for d in draws) / len(draws)
         assert abs(mean) < 0.1
@@ -61,12 +61,11 @@ class TestRngStream:
 _B = rng_module._BLOCK
 _CHUNK = rng_module._LANES * _B  # longest draw the cached jump rows cover in one pass
 EDGE_COUNTS = (0, 1, 2, 3, 5, _B - 1, _B, _B + 1, 2 * _B + 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
-SCALAR_DRAWS = ("next_u64", "uniform", "bit", "normal")
 BLOCK_DRAWS = {"_words": "next_u64", "uniforms": "uniform", "bits": "bit", "normals": "normal"}
 
 draw_plans = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(SCALAR_DRAWS), st.just(1)),
+        st.tuples(st.sampled_from(sorted(BLOCK_DRAWS)), st.just(1)),  # one number at a time
         st.tuples(st.sampled_from(sorted(BLOCK_DRAWS)),
                   st.one_of(st.integers(0, 40), st.sampled_from(EDGE_COUNTS))),
         st.tuples(st.just("sample"), st.integers(0, 60)),
@@ -87,10 +86,7 @@ class TestBlockDraws:
         stream, oracle = RngStream(seed, stream_index), naive_stream(seed, stream_index)
         assert stream._state == oracle.state
         for op, count in plan:
-            if op in SCALAR_DRAWS:
-                got, want = getattr(stream, op)(), getattr(oracle, op)()
-                assert type(got) is type(want)
-            elif op == "sample":
+            if op == "sample":
                 got = stream.sample_without_replacement(count + 3, count)
                 want = oracle.sample_without_replacement(count + 3, count)
             else:
@@ -182,7 +178,7 @@ class TestSkewTent:
 
     def test_orbit_stays_in_unit_interval(self):
         rng = RngStream(4, 0)
-        x = rng.uniform()
+        x = float(rng.uniforms(1)[0])
         for _ in range(5000):
             x = skew_tent(x, 0.76)
             assert 0.0 <= x <= 1.0
@@ -266,6 +262,14 @@ class TestTrialSpec:
     def test_generators_reject_a_negative_drop(self, family):
         with pytest.raises(InputError, match="drop must be >= 0, got -5"):
             generate_trial(family, 0.5, 10, -5, RngStream(1, 0))
+
+    @pytest.mark.parametrize("family, value", (("delay_bitflip", 2.0), ("sparse", 5.0)))
+    def test_families_without_transients_reject_a_drop(self, family, value):
+        message = f"{family} drops no transients, got drop=1999"
+        with pytest.raises(InputError, match=message):
+            TrialSpec(family, "p", (value,), 2000, 1999, 1, 1)
+        with pytest.raises(InputError, match=message):
+            generate_trial(family, value, 2000, 1999, RngStream(1, 0))
 
     def test_generate_trial_dispatch(self):
         for family, value, length, drop in (
