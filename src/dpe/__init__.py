@@ -3,7 +3,6 @@
 from .baselines import (
     BaselineVerdict,
     ComplexityValue,
-    baseline_direction,
     baseline_verdicts,
     etc_complexity,
     joint_sequence,
@@ -17,7 +16,6 @@ from .bench import (
     run_sweep,
 )
 from .core import (
-    AttributedPattern,
     CausalReport,
     DirectionalScore,
     FlipDictionary,
@@ -29,7 +27,6 @@ from .core import (
     count_occurrences,
     export_pattern_graph,
     extract_common_subpatterns,
-    find_flip_positions,
     infer_causal_direction,
     report_text,
     response_determinism,

@@ -262,8 +262,3 @@ def baseline_verdicts(
             counts[measure] = tuple(measure(s).raw for s in (joint, x, y))
         verdicts[method] = _verdict(method, *counts[measure])
     return verdicts
-
-
-def baseline_direction(method: str, x: SymbolSequence, y: SymbolSequence) -> BaselineVerdict:
-    """Directional verdict of one baseline method (documented variant)."""
-    return baseline_verdicts((method,), x, y)[method]

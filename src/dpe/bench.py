@@ -83,6 +83,8 @@ def run_sweep(
     independent verdicts on coupled ground truth count as incorrect. Results
     are deterministic for a fixed spec regardless of ``workers``.
     """
+    if not methods:
+        raise InputError("no methods to run")
     for m in methods:
         if m not in ALL_METHODS:
             raise InputError(f"unknown method {m!r}")

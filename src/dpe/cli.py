@@ -77,7 +77,7 @@ def cmd_infer(args) -> int:
     if args.drop:
         if args.drop >= len(sx):
             raise InputError(f"--drop {args.drop} leaves no data (have {len(sx)} rows)")
-        sx, sy = sx.drop_first(args.drop), sy.drop_first(args.drop)
+        sx, sy = RealSeries(sx.values[args.drop :]), RealSeries(sy.values[args.drop :])
     x = _to_symbols(sx, args.binarize, sy)
     y = _to_symbols(sy, args.binarize, sx)
     report = infer_causal_direction(x, y)

@@ -74,8 +74,11 @@ class PatternScore:
         return self.n_change + self.n_nochange
 
     @property
-    def deterministic(self) -> bool:
-        return self.n_change == 0 or self.n_nochange == 0
+    def role(self) -> str | None:
+        """"trigger" at a flip ratio of exactly 1, "preserver" at exactly 0, else None."""
+        if self.n_change == 0:
+            return "preserver"
+        return "trigger" if self.n_nochange == 0 else None
 
 
 @dataclass(frozen=True)
@@ -100,26 +103,12 @@ class DirectionalScore:
 
 
 @dataclass(frozen=True)
-class AttributedPattern:
-    score: PatternScore
-    role: str | None  # "trigger" (r=1), "preserver" (r=0), or None
-
-
-@dataclass(frozen=True)
 class CausalReport:
     score_xy: DirectionalScore
     score_yx: DirectionalScore
     verdict: Direction
     strength: float
-    deterministic_patterns: tuple[AttributedPattern, ...]
-
-
-def find_flip_positions(s: SymbolSequence) -> tuple[int, ...]:
-    """1-based positions k >= 2 where the symbol differs from its predecessor."""
-    if len(s) < 2:
-        raise ValueError("flip scan needs length >= 2")
-    arr = np.frombuffer(s.data, dtype=np.uint8)
-    return tuple(int(k) for k in np.nonzero(arr[1:] != arr[:-1])[0] + 2)
+    deterministic_patterns: tuple[PatternScore, ...]  # winning direction, ranked
 
 
 def _block_ids(arr: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -528,22 +517,11 @@ def score_direction(
     return DirectionalScore(direction, tuple(scores), total / len(scores))
 
 
-def _rank_patterns(winning: DirectionalScore) -> tuple[AttributedPattern, ...]:
-    """Winning-direction patterns by weighted entropy, then weight; a flip ratio
-    of exactly 1 marks a trigger, exactly 0 a preserver."""
-    ranked = sorted(
-        winning.pattern_scores,
-        key=lambda s: (s.h_weighted, -s.weight, s.pattern.data),
+def _rank_patterns(winning: DirectionalScore) -> tuple[PatternScore, ...]:
+    """Winning-direction patterns by weighted entropy, then weight."""
+    return tuple(
+        sorted(winning.pattern_scores, key=lambda s: (s.h_weighted, -s.weight, s.pattern.data))
     )
-    out = []
-    for s in ranked:
-        role = None
-        if s.n_change == 0:
-            role = "preserver"
-        elif s.n_nochange == 0:
-            role = "trigger"
-        out.append(AttributedPattern(s, role))
-    return tuple(out)
 
 
 def infer_causal_direction(x: SymbolSequence, y: SymbolSequence) -> CausalReport:
@@ -607,11 +585,11 @@ def report_text(report: CausalReport) -> str:
     if report.deterministic_patterns:
         lines.append("")
         lines.append("ranked patterns (winning direction):")
-        for ap in report.deterministic_patterns:
-            flag = f"  [{ap.role}]" if ap.role else ""
+        for s in report.deterministic_patterns:
+            flag = f"  [{s.role}]" if s.role else ""
             lines.append(
-                f"  {ap.score.pattern.text():<16} h_w={_fmt(ap.score.h_weighted)}"
-                f" weight={_fmt(ap.score.weight)} r_flip={_fmt(ap.score.r_flip)}{flag}"
+                f"  {s.pattern.text():<16} h_w={_fmt(s.h_weighted)}"
+                f" weight={_fmt(s.weight)} r_flip={_fmt(s.r_flip)}{flag}"
             )
     return "\n".join(lines) + "\n"
 

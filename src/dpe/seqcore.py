@@ -131,9 +131,6 @@ class RealSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def drop_first(self, n: int) -> "RealSeries":
-        return RealSeries(self.values[n:])
-
 
 @dataclass(frozen=True)
 class SequencePair:

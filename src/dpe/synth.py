@@ -63,12 +63,13 @@ class TrialSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown family {self.family!r}")
+        param = FAMILY_DEFAULTS[self.family][3]
+        if self.param_name != param:
+            raise InputError(f"{self.family} sweeps {param!r}, got param={self.param_name!r}")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
-        if self.drop < 0:
-            raise InputError(f"drop must be >= 0, got {self.drop}")
-        if self.length <= self.drop:
-            raise InputError("length must exceed the number of dropped transients")
+        if not self.values:
+            raise InputError("values must not be empty")
         for value in self.values:  # reject a bad battery before any trial runs
             check_trial_value(self.family, value, self.length, self.drop)
 
@@ -110,9 +111,9 @@ def check_trial_value(family: str, value: float, length: int, drop: int) -> None
 
     ``family`` is one of FAMILIES; ``length`` and ``drop`` are the trial's
     sizes (``length`` is the series length n of sparse, and only the
-    real-valued families drop transients). ``TrialSpec`` checks every swept
-    value with it, ``generate_trial`` each trial, and each generator its own
-    arguments.
+    real-valued families drop transients); it is the one check of both.
+    ``TrialSpec`` checks every swept value with it, ``generate_trial`` each
+    trial, and each generator its own arguments.
     """
     if drop < 0:
         raise InputError(f"drop must be >= 0, got {drop}")

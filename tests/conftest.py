@@ -3,7 +3,8 @@ from hypothesis import settings
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 # deeper fuzz: pytest tests/test_kernels.py tests/test_properties.py tests/test_synth.py
-#              tests/test_ingest.py --hypothesis-profile=deep
+#              tests/test_ingest.py tests/test_baselines.py tests/test_seqcore.py
+#              --hypothesis-profile=deep
 settings.register_profile("deep", deadline=None, max_examples=500)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from oracles import naive_count
-from dpe.baselines import baseline_direction, etc_complexity, lz76_complexity
+from dpe.baselines import BASELINE_METHODS, baseline_verdicts, etc_complexity, lz76_complexity
 from dpe.bench import run_sweep
 from dpe.cli import main as cli_main
 from dpe.core import (
@@ -249,10 +249,10 @@ def test_criterion_8_baseline_primitives():
         n = 4 + int(rng.uniforms(1)[0] * 30)
         x = SymbolSequence(rng.bits(n).tolist(), 2)
         y = SymbolSequence(rng.bits(n).tolist(), 2)
-        for method in ("lzp", "etcp", "etce"):
-            fwd = baseline_direction(method, x, y)
-            rev = baseline_direction(method, y, x)
-            ok &= (fwd.score_xy, fwd.score_yx) == (rev.score_yx, rev.score_xy)
+        fwd = baseline_verdicts(BASELINE_METHODS, x, y)
+        rev = baseline_verdicts(BASELINE_METHODS, y, x)
+        for f, r in zip(fwd.values(), rev.values()):
+            ok &= (f.score_xy, f.score_yx) == (r.score_yx, r.score_xy)
     check(8, ok, "LZ76 hand parse, constant-sequence values, ETC bound on 1000 "
                  "random sequences, baseline swap symmetry")
 

@@ -8,7 +8,6 @@ from conftest import symbol_tuples
 from dpe import baselines, cli
 from dpe.baselines import (
     BASELINE_METHODS,
-    baseline_direction,
     baseline_verdicts,
     etc_complexity,
     joint_sequence,
@@ -72,12 +71,8 @@ class TestOracles:
     def test_direction_matches_oracle_counts(self, method, xs, ys):
         n = min(len(xs), len(ys))
         x, y = SymbolSequence(xs[:n], 2), SymbolSequence(ys[:n], 2)
-        fast = baseline_direction(method, x, y)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(baselines, "lz76_complexity", naive_lz76)
-            mp.setattr(baselines, "etc_complexity", naive_etc)
-            slow = baseline_direction(method, x, y)
-        assert fast == slow  # scores, verdict and the degenerate flag
+        # scores, verdict and the degenerate flag
+        assert baseline_verdicts((method,), x, y) == {method: naive_baseline(method, x, y)}
 
 
 def etc_paths(monkeypatch):
@@ -285,7 +280,7 @@ class TestJointSequence:
         y = SymbolSequence(ramp[::-1] + ramp, 256)
         assert naive_joint(x.symbols, y.symbols)[1] == 512
         with pytest.raises(InputError, match="joint sequence has 512 distinct states"):
-            baseline_direction("lzp", x, y)
+            baseline_verdicts(("lzp",), x, y)
 
     def test_exactly_256_states_fit(self):
         x = SymbolSequence(bytes(range(256)) * 2, 256)
@@ -297,15 +292,14 @@ class TestJointSequence:
 class TestBaselineDirection:
     def test_identical_inputs_independent(self):
         x = seq("0110100101")
-        for method in ("lzp", "etcp", "etce"):
-            v = baseline_direction(method, x, x)
+        for v in baseline_verdicts(BASELINE_METHODS, x, x).values():
             assert v.verdict == Direction.INDEPENDENT
             assert v.score_xy == v.score_yx
 
     def test_constant_effect_etcp(self):
         x = seq("0110100101")
         const = SymbolSequence((0,) * 10, 2)
-        v = baseline_direction("etcp", x, const)
+        v = baseline_verdicts(("etcp",), x, const)["etcp"]
         # penalty(X->Y) = C_J - C(X), penalty(Y->X) = C_J - 0; the direction
         # out of the constant can win only if C(X) = 0
         assert v.score_xy == v.score_yx - etc_complexity(x).raw
@@ -314,18 +308,18 @@ class TestBaselineDirection:
     def test_etce_zero_denominator_degenerate(self):
         const_x = SymbolSequence((1,) * 8, 2)
         const_y = SymbolSequence((0,) * 8, 2)
-        v = baseline_direction("etce", const_x, const_y)
+        v = baseline_verdicts(("etce",), const_x, const_y)["etce"]
         assert v.verdict == Direction.INDEPENDENT
         assert v.degenerate
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
-            baseline_direction("nope", seq("01"), seq("01"))
+            baseline_verdicts(("nope",), seq("01"), seq("01"))
 
     def test_deterministic(self):
         x, y = seq("01101001"), seq("00110011")
-        for method in ("lzp", "etcp", "etce"):
-            assert baseline_direction(method, x, y) == baseline_direction(method, x, y)
+        first = baseline_verdicts(BASELINE_METHODS, x, y)
+        assert baseline_verdicts(BASELINE_METHODS, x, y) == first
 
     @given(
         st.sampled_from(("lzp", "etcp", "etce")),
@@ -336,8 +330,8 @@ class TestBaselineDirection:
         n = min(len(xs), len(ys))
         x = SymbolSequence(xs[:n], 2)
         y = SymbolSequence(ys[:n], 2)
-        fwd = baseline_direction(method, x, y)
-        rev = baseline_direction(method, y, x)
+        fwd = baseline_verdicts((method,), x, y)[method]
+        rev = baseline_verdicts((method,), y, x)[method]
         assert fwd.score_xy == rev.score_yx
         assert fwd.score_yx == rev.score_xy
         mirrored = {
@@ -401,17 +395,17 @@ class TestSharedVerdictRule:
 
     @pytest.mark.parametrize("method, score", (("lzp", 1.0), ("etcp", 3.0), ("etce", 0.625)))
     def test_tied_scores_are_independent(self, method, score):
-        v = baseline_direction(method, seq(self.TIED[0]), seq(self.TIED[1]))
+        v = baseline_verdicts((method,), seq(self.TIED[0]), seq(self.TIED[1]))[method]
         assert v.score_xy == v.score_yx == score
         assert v.verdict == Direction.INDEPENDENT
         assert not v.degenerate
 
     def test_etce_higher_efficacy_wins(self):
         x, y = seq("010110000110"), seq("011001001100")
-        v = baseline_direction("etce", x, y)
+        v = baseline_verdicts(("etce",), x, y)["etce"]
         assert v.score_xy > v.score_yx
         assert v.verdict == Direction.X_CAUSES_Y
-        assert baseline_direction("etce", y, x).verdict == Direction.Y_CAUSES_X
+        assert baseline_verdicts(("etce",), y, x)["etce"].verdict == Direction.Y_CAUSES_X
 
     @given(
         st.sampled_from(("lzp", "etcp", "etce")),
@@ -420,7 +414,8 @@ class TestSharedVerdictRule:
     )
     def test_verdict_follows_scores(self, method, xs, ys):
         n = min(len(xs), len(ys))
-        v = baseline_direction(method, SymbolSequence(xs[:n], 2), SymbolSequence(ys[:n], 2))
+        x, y = SymbolSequence(xs[:n], 2), SymbolSequence(ys[:n], 2)
+        v = baseline_verdicts((method,), x, y)[method]
         gap = v.score_xy - v.score_yx
         if method == "etce":
             gap = -gap  # efficacy: the higher score wins

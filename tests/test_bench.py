@@ -513,3 +513,24 @@ class TestBenchSpecValues:
         assert self._bench(tmp_path, "delay_bitflip", "delay", "1,2,2.5", 100) == 1
         assert trials == []
         assert "needs a whole-number parameter value, got 2.5" in capsys.readouterr().err
+
+    def test_empty_method_list_exits_1_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "generate_trial", no_trial)
+        out = tmp_path / "r.csv"
+        argv = ["bench", "--family", "ar1", "--methods", ",", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "error: no methods to run" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_param_other_than_the_familys_exits_1(self, tmp_path, capsys):
+        assert self._bench(tmp_path, "ar1", "banana", "0.5", 1500, 500) == 1
+        assert "error: ar1 sweeps 'phi', got param='banana'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_empty_values_exit_1(self, tmp_path, capsys):
+        assert self._bench(tmp_path, "ar1", "phi", "", 1500, 500) == 1
+        assert "error: values must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()

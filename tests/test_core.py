@@ -12,7 +12,6 @@ from dpe.core import (
     count_occurrences,
     export_pattern_graph,
     extract_common_subpatterns,
-    find_flip_positions,
     infer_causal_direction,
     pattern_graph_lines,
     report_text,
@@ -51,19 +50,27 @@ def seq(text):
     return SymbolSequence.from_text(text, 2)
 
 
-class TestFindFlipPositions:
+def flip_cuts(target):
+    """1-based positions where the dictionary cuts a ramp source (every symbol distinct)."""
+    ramp = SymbolSequence(tuple(range(len(target))), len(target))
+    return tuple(seg.symbols[-1] + 1 for seg in build_flip_dictionary(ramp, target).segments)
+
+
+class TestFlipScan:
     def test_demo_target(self):
-        assert find_flip_positions(Y) == (6, 7, 11, 12, 22, 23, 27, 28)
+        # Y flips at 6, 7, 11, 12, 22, 23, 27, 28; the second flip of each
+        # pair would end a length-1 segment and is skipped
+        assert flip_cuts(Y) == (6, 11, 22, 27)
 
     def test_constant_sequence(self):
-        assert find_flip_positions(seq("00000")) == ()
+        assert flip_cuts(seq("00000")) == ()
 
     def test_single_flip(self):
-        assert find_flip_positions(seq("01")) == (2,)
+        assert flip_cuts(seq("01")) == (2,)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            find_flip_positions(SymbolSequence((0,), 2))
+            build_flip_dictionary(SymbolSequence((0,), 2), SymbolSequence((0,), 2))
 
 
 class TestBuildFlipDictionary:
@@ -236,15 +243,15 @@ class TestAttributePatterns:
     def test_demo_triggers_and_preservers(self):
         report = infer_causal_direction(X, Y)
         ranked = report.deterministic_patterns
-        roles = {ap.score.pattern.text(): ap.role for ap in ranked}
+        roles = {s.pattern.text(): s.role for s in ranked}
         assert {p for p, r in roles.items() if r == "trigger"} == {"011101", "1101", "11101"}
         assert {p for p, r in roles.items() if r == "preserver"} == {"0110", "110"}
 
     def test_ranked_by_weighted_entropy_then_weight(self):
         ranked = infer_causal_direction(X, Y).deterministic_patterns
-        hws = [ap.score.h_weighted for ap in ranked]
+        hws = [s.h_weighted for s in ranked]
         assert hws == sorted(hws)
-        zero_weights = [ap.score.weight for ap in ranked if ap.score.h_weighted == 0.0]
+        zero_weights = [s.weight for s in ranked if s.h_weighted == 0.0]
         assert zero_weights == sorted(zero_weights, reverse=True)
 
     def test_independent_verdict_empty(self):

@@ -9,7 +9,6 @@ from oracles import (
     naive_count,
     naive_dictionary,
     naive_extract,
-    naive_flips,
     naive_pattern_set,
     naive_response,
 )
@@ -19,7 +18,6 @@ from dpe.core import (
     binary_entropy,
     count_occurrences,
     extract_common_subpatterns,
-    find_flip_positions,
     infer_causal_direction,
     response_determinism,
     score_direction,
@@ -59,9 +57,18 @@ class TestBinaryEntropy:
 
 
 class TestFlipScan:
-    @given(seqs(alphabet=3))
-    def test_matches_naive_scan(self, s):
-        assert find_flip_positions(s) == naive_flips(s.symbols)
+    @given(seq_pairs(alphabet=3))
+    def test_matches_naive_scan(self, pair):
+        # both flip scans of the pipeline on a non-binary target: the
+        # dictionary's cuts (a ramp source makes every segment show its
+        # span) and the flip test of each counted effect window
+        cause, effect = pair
+        ramp = SymbolSequence(tuple(range(len(effect))), len(effect))
+        got = [s.symbols for s in build_flip_dictionary(ramp, effect).segments]
+        assert got == naive_dictionary(ramp.symbols, effect.symbols)
+        for s in score_direction(cause, effect).pattern_scores:
+            response = naive_response(s.pattern.symbols, cause.symbols, effect.symbols)
+            assert (s.n_change, s.n_nochange) == response
 
 
 class TestCountOccurrences:
@@ -170,6 +177,17 @@ class TestScoreInvariants:
             Direction.INDEPENDENT: Direction.INDEPENDENT,
         }
         assert rev.verdict == mirrored[fwd.verdict]
+
+    @given(seq_pairs(max_size=60, alphabet=3))
+    def test_roles_match_naive_flip_ratios(self, pair):
+        x, y = pair
+        report = infer_causal_direction(x, y)
+        cause, effect = (x, y) if report.verdict == Direction.X_CAUSES_Y else (y, x)
+        for s in report.deterministic_patterns:
+            n_change, n_nochange = naive_response(s.pattern.symbols, cause.symbols, effect.symbols)
+            assert (s.role == "trigger") == (n_nochange == 0)
+            assert (s.role == "preserver") == (n_change == 0)
+            assert s.role in ("trigger", "preserver", None)
 
     @given(seqs(min_size=2, max_size=80, alphabet=2))
     def test_self_independence(self, s):

@@ -14,6 +14,7 @@ from dpe.rng import RngStream
 from dpe.seqcore import Direction
 from dpe.synth import (
     FAMILIES,
+    FAMILY_DEFAULTS,
     SPARSE_N,
     TrialSpec,
     delayed_flip_indicator,
@@ -252,11 +253,23 @@ class TestTrialSpec:
             TrialSpec("ar1", "phi", (0.1,), 100, 100, 10, 1)
         with pytest.raises(InputError):
             TrialSpec("ar1", "phi", (0.1,), 100, 0, 0, 1)
+        with pytest.raises(InputError, match="values must not be empty"):
+            TrialSpec("ar1", "phi", (), 100, 0, 10, 1)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_param_must_be_the_familys_name(self, family):
+        values = (5.0,) if family == "sparse" else (0.0,)
+        name = FAMILY_DEFAULTS[family][3]
+        assert TrialSpec(family, name, values, 100, 0, 1, 1).param_name == name
+        for wrong in ("banana", "p", name.upper()):
+            with pytest.raises(InputError, match=f"{family} sweeps '{name}', got param='{wrong}'"):
+                TrialSpec(family, wrong, values, 100, 0, 1, 1)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_negative_drop_is_an_input_error(self, family):
+        param = FAMILY_DEFAULTS[family][3]
         with pytest.raises(InputError, match="drop must be >= 0, got -5"):
-            TrialSpec(family, "p", (1.0,) if family == "sparse" else (0.0,), 10, -5, 1, 1)
+            TrialSpec(family, param, (1.0,) if family == "sparse" else (0.0,), 10, -5, 1, 1)
 
     @pytest.mark.parametrize("family", ("ar1", "skew_tent"))
     def test_generators_reject_a_negative_drop(self, family):
@@ -267,7 +280,7 @@ class TestTrialSpec:
     def test_families_without_transients_reject_a_drop(self, family, value):
         message = f"{family} drops no transients, got drop=1999"
         with pytest.raises(InputError, match=message):
-            TrialSpec(family, "p", (value,), 2000, 1999, 1, 1)
+            TrialSpec(family, FAMILY_DEFAULTS[family][3], (value,), 2000, 1999, 1, 1)
         with pytest.raises(InputError, match=message):
             generate_trial(family, value, 2000, 1999, RngStream(1, 0))
 
