@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -70,8 +69,14 @@ def _run_single_trial(spec: TrialSpec, methods: tuple[str, ...], ordinal: int) -
 
 
 def _mean(values: list[float | None]) -> float | None:
-    finite = [v for v in values if v is not None]
-    return sum(finite) / len(finite) if finite else None
+    """Mean of the non-None values, summed left to right on every Python (3.12's
+    ``sum`` compensates float rounding, so it can differ in the last bits)."""
+    total, count = 0.0, 0
+    for v in values:
+        if v is not None:
+            total += v
+            count += 1
+    return total / count if count else None
 
 
 def run_sweep(
@@ -100,6 +105,8 @@ def run_sweep(
     if workers <= 1:
         ordered = list(map(trial, range(n_trials)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled sweeps pay its import
+
         chunksize = -(-spec.trials // (4 * workers))  # trials >= 1
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ordered = list(pool.map(trial, range(n_trials), chunksize=chunksize))

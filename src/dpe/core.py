@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,12 +44,28 @@ LABEL_XY = "X->Y"
 LABEL_YX = "Y->X"
 
 
+class _DirectionIndex(NamedTuple):
+    """What counting reads of one direction: the cause's block ids (``_block_ids``)
+    and the effect's flips, ``changed[i]`` being ``effect[i + 1] != effect[i]``;
+    the flip dictionary builds both."""
+
+    ids: np.ndarray
+    bound: np.ndarray
+    changed: np.ndarray
+
+
 @dataclass(frozen=True)
 class FlipDictionary:
-    """Segments of the source sequence ending at flips of the target."""
+    """Segments of the source sequence ending at flips of the target.
+
+    ``index`` covers every block of the source up to the longest segment, so
+    it keys every pattern extracted from the segments; it is None when the
+    target has no flip that cuts.
+    """
 
     direction: str
     segments: tuple[SymbolSequence, ...]  # deduplicated, first-insertion order
+    index: _DirectionIndex | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -123,19 +140,34 @@ def _block_ids(arr: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     bound = [int(arr.max()) + 1]
     for k in range(1, len(ids)):
         half = 1 << (k - 1)
-        pair = np.multiply(ids[k - 1, : n - 2 * half + 1], bound[-1], dtype=np.int64)
-        pair += ids[k - 1, half : n - half + 1]
-        if bound[-1] ** 2 < 1 << 31:
+        m = n - 2 * half + 1  # blocks of this level
+        if bound[-1] ** 2 < 1 << 31:  # packed in place, no int64 scratch
+            np.multiply(ids[k - 1, :m], bound[-1], out=ids[k, :m])
+            ids[k, :m] += ids[k - 1, half : half + m]
             bound.append(bound[-1] ** 2)
-        else:
-            order = np.argsort(pair, kind="stable")
-            ranked = pair[order]
-            np.cumsum(ranked[1:] != ranked[:-1], out=ranked[1:])
-            ranked[0] = 0
-            pair[order] = ranked
-            bound.append(int(ranked[-1]) + 1)
-        ids[k, : len(pair)] = pair
+            continue
+        pair = np.multiply(ids[k - 1, :m], bound[-1], dtype=np.int64)
+        pair += ids[k - 1, half : half + m]
+        order = np.argsort(pair, kind="stable")
+        ranked = pair[order]
+        np.cumsum(ranked[1:] != ranked[:-1], out=ranked[1:])
+        ranked[0] = 0
+        pair[order] = ranked
+        bound.append(int(ranked[-1]) + 1)
+        ids[k, :m] = pair
     return ids, np.array(bound, dtype=np.int64)
+
+
+def _changes(seq: bytes) -> np.ndarray:
+    """Whether each symbol of ``seq`` after the first differs from the one before."""
+    arr = np.frombuffer(seq, dtype=np.uint8)
+    return arr[1:] != arr[:-1]
+
+
+def _direction_index(cause: bytes, changed: np.ndarray, top: int) -> _DirectionIndex:
+    """The index counting reads: block ids of ``cause`` up to length ``top``, and
+    the effect's flips ``changed`` (see ``_changes``)."""
+    return _DirectionIndex(*_block_ids(np.frombuffer(cause, dtype=np.uint8), top), changed)
 
 
 def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.ndarray:
@@ -194,20 +226,21 @@ def build_flip_dictionary(
         raise ValueError("source and target must have equal length")
     if len(source) < 2:
         raise ValueError("dictionary construction needs length >= 2")
-    tgt = np.frombuffer(target.data, dtype=np.uint8)
-    flips = np.flatnonzero(tgt[1:] != tgt[:-1]) + 1  # 0-based index of the changed symbol
-    head = np.diff(flips, prepend=-1) != 1  # the first flip of each run
-    run_start = flips[head][np.cumsum(head) - 1]
-    stops = flips[((flips - run_start) & 1) == 0] + 1
+    changed = _changes(target.data)
+    flips = np.flatnonzero(changed) + 1  # 0-based index of the changed symbol
+    heads = np.flatnonzero(np.diff(flips, prepend=-1) != 1)  # the first flip of each run
+    # each flip's place in its run: its index less that of its run's first flip
+    place = np.arange(len(flips)) - np.repeat(heads, np.diff(heads, append=len(flips)))
+    stops = flips[np.flatnonzero((place & 1) == 0)] + 1
     if len(stops) == 0:
         return FlipDictionary(direction, ())
     lengths = np.diff(stops, prepend=0)
     starts = stops - lengths
-    ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(lengths.max()))
-    keys = _content_keys(ids, bound, starts, lengths)
+    index = _direction_index(source.data, changed, int(lengths.max()))
+    keys = _content_keys(index.ids, index.bound, starts, lengths)
     keep = _first_by_content(lengths, keys, np.zeros_like(lengths))
     spans = zip(starts[keep].tolist(), stops[keep].tolist())
-    return FlipDictionary(direction, tuple(source.fragment(a, b) for a, b in spans))
+    return FlipDictionary(direction, tuple(source.fragment(a, b) for a, b in spans), index)
 
 
 def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -352,19 +385,19 @@ def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[
     if len(p1) == 0 or len(p2) == 0:
         raise ValueError("cannot extract patterns from an empty sequence")
     size = max(p1.alphabet_size, p2.alphabet_size)
-    return tuple(SymbolSequence(f, size) for f in _pattern_bytes([p1.data, p2.data]))
+    return tuple(SymbolSequence._of_valid(f, size) for f in _pattern_bytes([p1.data, p2.data]))
 
 
 def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     """Union of common subpatterns over all pairs of distinct dictionary segments."""
     data = [seg.data for seg in dictionary.segments]
     size = max((seg.alphabet_size for seg in dictionary.segments), default=1)
-    patterns = tuple(SymbolSequence(frag, size) for frag in _pattern_bytes(data))
+    patterns = tuple(SymbolSequence._of_valid(frag, size) for frag in _pattern_bytes(data))
     return PatternSet(dictionary.direction, patterns)
 
 
 def _table_lookup(keys: np.ndarray, space: int, tables: dict[int, np.ndarray]):
-    """(Window, flipped) -> bin, by one gather from a dense int32 table of ``space`` entries.
+    """(Window, flipped) -> bin, by one gather from a dense intp table of ``space`` entries.
 
     A window equal to ``keys[i]`` takes bin ``2 * i + 2 + flipped``, of equal
     keys the first (it is written last); any other window the miss bin
@@ -373,8 +406,8 @@ def _table_lookup(keys: np.ndarray, space: int, tables: dict[int, np.ndarray]):
     """
     table = tables.get(space)
     if table is None:
-        table = tables[space] = np.zeros(space, dtype=np.int32)
-    table[keys[::-1]] = np.arange(2 * len(keys), 0, -2, dtype=np.int32)
+        table = tables[space] = np.zeros(space, dtype=np.intp)  # bincount's own bin type
+    table[keys[::-1]] = np.arange(2 * len(keys), 0, -2)
 
     def look(window: np.ndarray, flipped: np.ndarray) -> np.ndarray:
         bins = table[window]
@@ -401,11 +434,14 @@ def _sorted_lookup(keys: np.ndarray):
     return look
 
 
-def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+def _occurrences(
+    cause: bytes, patterns: list[bytes], index: _DirectionIndex
+) -> tuple[np.ndarray, np.ndarray]:
     """(occurrences, occurrences whose effect window flips) of each distinct pattern.
 
-    A pattern is keyed at its first occurrence in the cause, so the cause's
-    block ids give exact keys; of equal patterns only the first is credited.
+    ``index`` must reach the longest pattern that occurs. A pattern is keyed
+    at its first occurrence in the cause, so the cause's block ids give exact
+    keys; of equal patterns only the first is credited.
     For each pattern length, the window key of every cause position, a chunk
     at a time, is looked up in a dense table when the length's key space has
     at most ``_CHUNK`` entries, and among the sorted pattern keys otherwise.
@@ -415,15 +451,14 @@ def _occurrences(cause: bytes, effect: bytes, patterns: list[bytes]) -> tuple[np
     keys it wrote.
     """
     n = len(cause)
+    ids, bound, changed = index
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)
     first_at = np.array([cause.find(p) if p else -1 for p in patterns], dtype=np.int64)
     found = np.flatnonzero(first_at >= 0)
     n_occ, n_change, keys = np.zeros((3, len(patterns)), dtype=np.int64)
-    top = int(lengths[found].max(initial=1))
-    ids, bound = _block_ids(np.frombuffer(cause, dtype=np.uint8), top)
     keys[found] = _content_keys(ids, bound, first_at[found], lengths[found])
-    eff = np.frombuffer(effect, dtype=np.uint8)
-    prefix = np.concatenate(([0], np.cumsum(eff[1:] != eff[:-1])))  # flips before each index
+    prefix = np.zeros(n, dtype=np.intp)  # flips before each index
+    np.cumsum(changed, out=prefix[1:])
     tables: dict[int, np.ndarray] = {}
     for length in sorted(set(lengths[found].tolist())):
         members = found[lengths[found] == length]
@@ -452,7 +487,8 @@ def count_occurrences(pattern: SymbolSequence, s: SymbolSequence) -> int:
     """Number of occurrences of ``pattern`` in ``s``, overlapping included."""
     if not 1 <= len(pattern) <= len(s):
         raise ValueError("need 1 <= len(pattern) <= len(s)")
-    return int(_occurrences(s.data, s.data, [pattern.data])[0][0])
+    index = _direction_index(s.data, _changes(s.data), len(pattern))
+    return int(_occurrences(s.data, [pattern.data], index)[0][0])
 
 
 def response_determinism(
@@ -466,7 +502,10 @@ def response_determinism(
     """
     if len(cause) != len(effect):
         raise ValueError("cause and effect must have equal length")
-    n_occ, n_change = (int(c[0]) for c in _occurrences(cause.data, effect.data, [pattern.data]))
+    n_occ = n_change = 0
+    if 1 <= len(pattern) <= len(cause):
+        index = _direction_index(cause.data, _changes(effect.data), len(pattern))
+        n_occ, n_change = (int(c[0]) for c in _occurrences(cause.data, [pattern.data], index))
     if not n_occ:
         raise ValueError(f"pattern {pattern.text()!r} does not occur in the cause sequence")
     return n_change, n_occ - n_change, n_change / n_occ
@@ -489,12 +528,13 @@ def score_direction(
         raise InputError("cause and effect must have equal length")
     if len(cause) < 2:
         raise InputError("causal scoring needs sequences of length >= 2")
-    patterns = build_pattern_set(build_flip_dictionary(cause, effect, direction)).patterns
+    dictionary = build_flip_dictionary(cause, effect, direction)
+    patterns = build_pattern_set(dictionary).patterns
     if not patterns:
         return DirectionalScore(direction, (), None)
 
     n = len(cause)
-    n_occs, n_changes = _occurrences(cause.data, effect.data, [p.data for p in patterns])
+    n_occs, n_changes = _occurrences(cause.data, [p.data for p in patterns], dictionary.index)
     scores: list[PatternScore] = []
     total = 0.0
     for pattern, n_occ, n_change in zip(patterns, n_occs.tolist(), n_changes.tolist()):

@@ -104,9 +104,17 @@ class SymbolSequence:
             return self.data.translate(_DIGITS).decode("ascii")
         return ",".join(map(str, self.data))
 
+    @classmethod
+    def _of_valid(cls, data: bytes, alphabet_size: int) -> "SymbolSequence":
+        """Wrap bytes cut from a validated sequence, without checking them again."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "data", data)
+        object.__setattr__(seq, "alphabet_size", alphabet_size)
+        return seq
+
     def fragment(self, start: int, stop: int) -> "SymbolSequence":
         """Contiguous sub-sequence over the same alphabet."""
-        return SymbolSequence(self.data[start:stop], self.alphabet_size)
+        return SymbolSequence._of_valid(self.data[start:stop], self.alphabet_size)
 
     @classmethod
     def from_text(cls, text: str, alphabet_size: int | None = None) -> "SymbolSequence":

@@ -1,3 +1,4 @@
+import concurrent.futures
 import subprocess
 import sys
 
@@ -107,7 +108,7 @@ class TestWorkerCap:
     def fake_pool(self, monkeypatch):
         SerialPool.sizes = []
         SerialPool.chunksizes = []
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
 
     def test_pool_capped_at_cpu_count(self):
@@ -136,6 +137,23 @@ class TestWorkerCap:
         monkeypatch.setattr(bench.os, "cpu_count", lambda: None)  # unknown: one core
         run_sweep(small_spec(), workers=3)
         assert SerialPool.sizes == []
+
+
+def test_import_leaves_the_process_pool_out():
+    # only run_sweep with workers > 1 imports it; a fresh interpreter shows what import dpe loads
+    code = "import sys, dpe; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "dpe.bench" in loaded
+    assert "concurrent.futures.process" not in loaded and "multiprocessing" not in loaded
+
+
+def test_mean_sums_left_to_right():
+    # a compensated sum (Python 3.12's sum) gives 1.0 / 3
+    assert bench._mean([1e16, 1.0, -1e16]) == 0.0
+    assert bench._mean([None, 0.5, None, 1.5]) == 1.0
+    assert bench._mean([None, None]) is None
 
 
 class TestEmitResults:

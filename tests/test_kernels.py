@@ -270,6 +270,83 @@ class TestDictionaryOrder:
         assert got == naive_dictionary(source.symbols, target.symbols)
 
 
+def flips_at(n, positions):
+    """A binary target of n symbols that flips exactly at ``positions`` (indices >= 1)."""
+    symbols, bit = [0], 0
+    for i in range(1, n):
+        bit ^= i in positions
+        symbols.append(bit)
+    return SymbolSequence(tuple(symbols), 2)
+
+
+CUT_TARGETS = {
+    **{
+        f"{r} flips at the {where}": flips_at(24, set(range(first, first + r)))
+        for r in range(1, 7)
+        for where, first in (("start", 1), ("middle", 9), ("end", 24 - r))
+    },
+    "a flip at every position": flips_at(24, set(range(1, 24))),
+    "one flip at index 1": flips_at(24, {1}),
+    "no flips": flips_at(24, set()),
+}
+
+
+class TestFlipCut:
+    """Each flip's place in its run decides whether it cuts; only even places do."""
+
+    @pytest.mark.parametrize("target", CUT_TARGETS.values(), ids=CUT_TARGETS.keys())
+    def test_cut_matches_naive_dictionary(self, target):
+        ramp = SymbolSequence(tuple(range(len(target))), len(target))  # every segment distinct
+        got = [s.symbols for s in build_flip_dictionary(ramp, target).segments]
+        assert got == naive_dictionary(ramp.symbols, target.symbols)
+
+    @pytest.mark.parametrize("target", CUT_TARGETS.values(), ids=CUT_TARGETS.keys())
+    def test_scores_match_oracles(self, target):
+        cause = SymbolSequence.from_text("011010011101001011001101", 2)
+        score = score_direction(cause, target)
+        segments = naive_dictionary(cause.symbols, target.symbols)
+        assert [s.pattern.symbols for s in score.pattern_scores] == naive_pattern_order(segments)
+        for s in score.pattern_scores:
+            want = naive_response(s.pattern.symbols, cause.symbols, target.symbols)
+            assert (s.n_change, s.n_nochange) == want
+
+
+class TestOneIndexPerDirection:
+    """A direction indexes the cause once; the dictionary hands its index to counting."""
+
+    X = SymbolSequence.from_text("011101111010011001110101101001", 2)
+    Y = SymbolSequence.from_text("000001000010000000000100001000", 2)
+
+    def test_block_ids_built_once_for_the_cause_and_once_for_extraction(self):
+        with mock.patch.object(core, "_block_ids", wraps=core._block_ids) as block_ids:
+            score = score_direction(self.X, self.Y)
+        assert score.pattern_scores and block_ids.call_count == 2
+        assert block_ids.call_args_list[0].args[0].tobytes() == self.X.data
+
+    def test_layers_are_called_through_the_module(self):
+        # a tracer wraps these two module attributes to time the dictionary and extraction
+        with mock.patch.object(core, "build_flip_dictionary", wraps=build_flip_dictionary) as cut, \
+                mock.patch.object(core, "_pattern_bytes", wraps=core._pattern_bytes) as extract:
+            score_direction(self.X, self.Y, core.LABEL_YX)
+        cut.assert_called_once_with(self.X, self.Y, core.LABEL_YX)
+        segments = build_flip_dictionary(self.X, self.Y).segments
+        extract.assert_called_once_with([s.data for s in segments])
+
+    def test_index_is_left_out_of_equality_and_repr(self):
+        built = build_flip_dictionary(self.X, self.Y)
+        assert built.index is not None
+        bare = core.FlipDictionary(built.direction, built.segments)
+        assert built == bare and repr(built) == repr(bare)
+        assert repr(built).startswith("FlipDictionary(direction='X->Y', segments=(")
+
+
+def occurrences(cause: bytes, effect: bytes, patterns: list[bytes]):
+    """Counting from an index of the cause that reaches the longest pattern."""
+    top = min(len(cause), max(map(len, patterns)))
+    index = core._direction_index(cause, core._changes(effect), top)
+    return core._occurrences(cause, patterns, index)
+
+
 class TestCountingKernel:
     @given(sequence_pairs(max_size=120), st.data(), CHUNKS)
     def test_matches_single_pattern_oracles(self, pair, data, chunk):
@@ -280,7 +357,7 @@ class TestCountingKernel:
         patterns = [cause.data[:1]] + [cause.data[a : a + k] for a, k in spans] + extra
         patterns = list(dict.fromkeys(patterns))
         with mock.patch.object(core, "_CHUNK", chunk):
-            n_occ, n_change = core._occurrences(cause.data, effect.data, patterns)
+            n_occ, n_change = occurrences(cause.data, effect.data, patterns)
         for p, occ, change in zip(patterns, n_occ.tolist(), n_change.tolist()):
             assert (occ, change) == find_response(p, cause.data, effect.data)
             assert occ == naive_count(tuple(p), cause.symbols)
@@ -362,7 +439,7 @@ class TestLookupSides:
         for chunk in BUDGETS:
             table, search = lookups()
             with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search:
-                n_occ, n_change = core._occurrences(cause, effect, patterns)
+                n_occ, n_change = occurrences(cause, effect, patterns)
                 n_change_one, n_nochange_one, _ = response_determinism(
                     SymbolSequence(present[0], alphabet), seq_cause, seq_effect
                 )
@@ -393,7 +470,7 @@ class TestLookupSides:
         for chunk in BUDGETS:
             table, search = lookups()
             with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search:
-                n_occ, n_change = core._occurrences(cause, effect, patterns)
+                n_occ, n_change = occurrences(cause, effect, patterns)
             assert list(zip(n_occ.tolist(), n_change.tolist())) == want
             took, skipped = (table, search) if space <= chunk else (search, table)
             assert took.call_count == 2 and skipped.call_count == 0
@@ -483,9 +560,9 @@ def test_many_short_segments_stay_within_a_memory_cap(gaps, n_patterns, digest):
 
 
 def test_genome_scale_counting_stays_within_a_memory_cap():
-    # 4-ary lengths 2..7 take tables of up to 2**16 int32 entries (256 KB)
+    # 4-ary lengths 2..7 take tables of up to 2**16 intp entries (512 KB)
     # and lengths 8 and 12 binary search; with the id table (4 levels of
-    # 30k int32) and the chunk scratch that peaks near 1.3 MB
+    # 30k int32) and the chunk scratch that peaks near 1.4 MB
     rng = random.Random(3)
     n = 30_000
     cause = bytes(rng.randrange(4) for _ in range(n))
@@ -495,7 +572,7 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
     tracemalloc.start()
     try:
         with table as table, search as search:
-            n_occ, n_change = core._occurrences(cause, effect, patterns)
+            n_occ, n_change = occurrences(cause, effect, patterns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
