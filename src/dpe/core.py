@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,13 +46,15 @@ LABEL_YX = "Y->X"
 
 
 class _DirectionIndex(NamedTuple):
-    """What counting reads of one direction: the cause's block ids (``_block_ids``)
-    and the effect's flips, ``changed[i]`` being ``effect[i + 1] != effect[i]``;
-    the flip dictionary builds both."""
+    """The block ids (``_block_ids``) of ``data``, the cause, in which segment i
+    starts at ``starts[i]``, and the effect's flips, ``changed[i]`` being
+    ``effect[i + 1] != effect[i]`` (None for segments packed without a cause)."""
 
     ids: np.ndarray
     bound: np.ndarray
-    changed: np.ndarray
+    changed: np.ndarray | None
+    data: bytes
+    starts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,8 @@ class FlipDictionary:
     """Segments of the source sequence ending at flips of the target.
 
     ``index`` covers every block of the source up to the longest segment, so
-    it keys every pattern extracted from the segments; it is None when the
-    target has no flip that cuts.
+    it keys every pattern extracted from the segments, and it places the
+    segments in the source; it is None when the target has no flip that cuts.
     """
 
     direction: str
@@ -98,17 +101,33 @@ class PatternScore:
         return "trigger" if self.n_nochange == 0 else None
 
 
-@dataclass(frozen=True)
+def _lazy(cls, **fields):
+    """A ``cls`` holding ``fields``; a cached property left out is built on first read."""
+    vars(built := object.__new__(cls)).update(fields)
+    return built
+
+
+@dataclass(frozen=True, init=False)
 class DirectionalScore:
     """All pattern scores for one direction plus their average weighted entropy.
 
     ``h_bar`` is None when the pattern set is empty (no evidence); such a
-    direction compares as +infinity against any finite value.
+    direction compares as +infinity against any finite value. A scored
+    direction builds ``pattern_scores`` on first read, from the counts of ``h_bar``.
     """
 
     direction: str
     pattern_scores: tuple[PatternScore, ...]
     h_bar: float | None
+
+    def __init__(self, direction: str, pattern_scores: tuple[PatternScore, ...], h_bar: float | None):
+        vars(self).update(direction=direction, pattern_scores=pattern_scores, h_bar=h_bar)
+
+    @cached_property
+    def pattern_scores(self) -> tuple[PatternScore, ...]:  # noqa: F811 - the field, built lazily
+        cause, lengths, starts, n_occs, n_changes = self._counts
+        rows = zip(lengths, starts, n_occs, n_changes, _entropies(len(cause), lengths, n_occs, n_changes))
+        return tuple(PatternScore(cause.fragment(s, s + n), c, o - c, *row) for n, s, o, c, row in rows)
 
     @property
     def has_evidence(self) -> bool:
@@ -119,13 +138,28 @@ class DirectionalScore:
         return math.inf if self.h_bar is None else self.h_bar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CausalReport:
+    """Both directional scores and the verdict; an inferred report ranks the
+    winning direction's ``deterministic_patterns`` on first read."""
+
     score_xy: DirectionalScore
     score_yx: DirectionalScore
     verdict: Direction
     strength: float
-    deterministic_patterns: tuple[PatternScore, ...]  # winning direction, ranked
+    deterministic_patterns: tuple[PatternScore, ...]
+
+    def __init__(self, score_xy, score_yx, verdict, strength, deterministic_patterns):
+        vars(self).update(score_xy=score_xy, score_yx=score_yx, verdict=verdict, strength=strength,
+                          deterministic_patterns=deterministic_patterns)
+
+    @cached_property
+    def deterministic_patterns(self) -> tuple[PatternScore, ...]:  # noqa: F811
+        """Winning-direction patterns by weighted entropy, then weight; none when independent."""
+        if self.verdict == Direction.INDEPENDENT:
+            return ()
+        winning = self.score_xy if self.verdict == Direction.X_CAUSES_Y else self.score_yx
+        return tuple(sorted(winning.pattern_scores, key=lambda s: (s.h_weighted, -s.weight, s.pattern.data)))
 
 
 def _block_ids(arr: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +196,6 @@ def _changes(seq: bytes) -> np.ndarray:
     """Whether each symbol of ``seq`` after the first differs from the one before."""
     arr = np.frombuffer(seq, dtype=np.uint8)
     return arr[1:] != arr[:-1]
-
-
-def _direction_index(cause: bytes, changed: np.ndarray, top: int) -> _DirectionIndex:
-    """The index counting reads: block ids of ``cause`` up to length ``top``, and
-    the effect's flips ``changed`` (see ``_changes``)."""
-    return _DirectionIndex(*_block_ids(np.frombuffer(cause, dtype=np.uint8), top), changed)
 
 
 def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.ndarray:
@@ -236,11 +264,11 @@ def build_flip_dictionary(
         return FlipDictionary(direction, ())
     lengths = np.diff(stops, prepend=0)
     starts = stops - lengths
-    index = _direction_index(source.data, changed, int(lengths.max()))
-    keys = _content_keys(index.ids, index.bound, starts, lengths)
-    keep = _first_by_content(lengths, keys, np.zeros_like(lengths))
-    spans = zip(starts[keep].tolist(), stops[keep].tolist())
-    return FlipDictionary(direction, tuple(source.fragment(a, b) for a, b in spans), index)
+    ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(lengths.max()))
+    keep = _first_by_content(lengths, _content_keys(ids, bound, starts, lengths), np.zeros_like(lengths))
+    starts, stops = starts[keep], stops[keep]  # still ascending
+    segments = tuple(source.fragment(a, b) for a, b in zip(starts.tolist(), stops.tolist()))
+    return FlipDictionary(direction, segments, _DirectionIndex(ids, bound, changed, source.data, starts))
 
 
 def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -248,17 +276,16 @@ def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _first_windows(
-    ids: np.ndarray, bound: np.ndarray, offsets: np.ndarray, width: np.ndarray, seg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _first_windows(ids, bound, starts, lengths, width, seg) -> tuple[np.ndarray, np.ndarray]:
     """(start, width) of the first window in data of each distinct content of each width.
 
-    The windows are those of width ``width[i]`` in segment ``seg[i]``, the
-    pairs ordered by width and then segment, so the windows come in (width,
+    The windows are those of width ``width[i]`` in segment ``seg[i]``, which
+    starts at ``starts[seg[i]]`` in data; the pairs are ordered by width and
+    then segment, and segments by start, so the windows come in (width,
     position) order, and so do the firsts.
     """
-    spread = offsets[seg + 1] - offsets[seg] - width + 1
-    start, width = _ranges(offsets[seg], spread), np.repeat(width, spread)
+    spread = lengths[seg] - width + 1
+    start, width = _ranges(starts[seg], spread), np.repeat(width, spread)
     keys = _content_keys(ids, bound, start, width)
     kept = _first_by_content(width, keys, np.zeros_like(width))
     return start[kept], width[kept]
@@ -281,23 +308,22 @@ def _runs(windows: np.ndarray, short: np.ndarray, long: np.ndarray, w: np.ndarra
     return hits, begin, size[run]
 
 
-def _agreement_runs(data: bytes, lengths: np.ndarray, ids: np.ndarray, bound: np.ndarray):
+def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, bound):
     """Yield batches of (length, pair, start) rows, one per agreement run.
 
     For each segment pair i < j (``pair`` = i * count + j) the shorter segment,
     the earlier on a tie, slides over the longer at every full-overlap offset;
     every maximal agreement run of length >= 2 is located by ``start`` in
-    ``data``. A segment u of width w is compared with each later segment of
-    width w, and with each distinct w-window of the strictly longer segments
-    only at its first position in ``data``: ``data`` holds the segments in
-    index order, so for u it orders the windows by (pair, offset), and a
-    window that repeats an earlier one adds no run whose content was not met
-    before. Widths go in ascending order, their windows are keyed about
+    ``data``, where segment i starts at ``starts[i]``. A segment u of width w
+    is compared with each later segment of width w, and with each distinct
+    w-window of the strictly longer segments only at its first position in
+    ``data``: the starts ascend with the index, so for u ``data`` orders the
+    windows by (pair, offset), and a window that repeats an earlier one adds
+    no run whose content was not met before. Widths go in ascending order, their windows are keyed about
     ``_CHUNK // 8`` at a time, and the rows of all of them are compared a
     chunk at a time. A pair's runs come out in extraction order.
     """
     count = len(lengths)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
     by_length = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[by_length]
     longest = int(sorted_lengths[-2])
@@ -318,7 +344,7 @@ def _agreement_runs(data: bytes, lengths: np.ndarray, ids: np.ndarray, bound: np
         # each width in [ga, gb) with each longer segment, by width and then index
         group = np.repeat(np.arange(ga, gb), longer[ga:gb])
         pairs = np.sort(group * count + by_length[_ranges(group_ends[ga:gb], longer[ga:gb])])
-        start, width = _first_windows(ids, bound, offsets, widths[pairs // count], pairs % count)
+        start, width = _first_windows(ids, bound, starts, lengths, widths[pairs // count], pairs % count)
         group = np.searchsorted(widths, width) - ga
         # each width's partners are its members, then its distinct windows;
         # a member faces the partners after its own place
@@ -329,7 +355,7 @@ def _agreement_runs(data: bytes, lengths: np.ndarray, ids: np.ndarray, bound: np
         own = np.arange(len(members)) + (np.cumsum(n_windows) - n_windows)[member_group]
         place = np.arange(len(start)) + np.cumsum(n_members)[group]
         partner_start = np.empty(len(own) + len(place), dtype=np.int64)
-        partner_start[own], partner_start[place] = offsets[members], start
+        partner_start[own], partner_start[place] = starts[members], start
         row_ends = np.append(0, np.cumsum(np.cumsum(n_members + n_windows)[member_group] - own - 1))
         member_width = lengths[members]
         room = np.maximum(1, _CHUNK // (member_width + 16))  # rows of each member's width per chunk
@@ -342,7 +368,7 @@ def _agreement_runs(data: bytes, lengths: np.ndarray, ids: np.ndarray, bound: np
             t = np.searchsorted(row_ends, row, side="right") - 1
             at = partner_start[own[t] + 1 + row - row_ends[t]]
             hits, begin, size = _runs(windows, partner_start[own[t]], at, member_width[t])
-            short, long = members[t[hits]], np.searchsorted(offsets, at[hits], side="right") - 1
+            short, long = members[t[hits]], np.searchsorted(starts, at[hits], side="right") - 1
             pair = np.minimum(short, long) * count + np.maximum(short, long)
             pending.append(np.stack((size, pair, at[hits] + begin)))
             found += len(hits)
@@ -355,24 +381,31 @@ def _agreement_runs(data: bytes, lengths: np.ndarray, ids: np.ndarray, bound: np
         yield np.concatenate(pending, axis=1)
 
 
-def _pattern_bytes(segment_data: list[bytes]) -> list[bytes]:
-    """Common runs of every segment pair, deduplicated in first-extraction order.
+def _pattern_bytes(segment_data: list[bytes], index: _DirectionIndex | None = None) -> np.ndarray:
+    """(length, key, start) of each distinct common run of the segment pairs, one
+    row per run in first-extraction order.
 
-    Each batch of runs is merged into a table of first occurrences by content;
-    a stable sort by pair keeps the table in extraction order.
+    The runs are read in ``index.data``, the cause, at the segments'
+    ``index.starts``; with no index, in the packed ``b"".join(segment_data)``.
+    ``start`` places a run in that data and ``key`` is its content's among the
+    data's blocks of its length (``_content_keys``). Each batch of runs is
+    merged into a table of first occurrences by content; a stable sort by pair
+    keeps the table in extraction order.
     """
-    data = b"".join(segment_data)
     lengths = np.array([len(s) for s in segment_data], dtype=np.int64)
     longest = int(np.sort(lengths)[-2]) if len(lengths) > 1 else 0  # of any run
-    if longest < MIN_PATTERN_LEN:
-        return []
-    ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), longest)
     table = np.zeros((4, 0), dtype=np.int64)  # rows: length, key, pair, start
-    for size, pair, start in _agreement_runs(data, lengths, ids, bound):
-        keyed = np.stack((size, _content_keys(ids, bound, start, size), pair, start))
-        table = np.concatenate((table, keyed), axis=1)
-        table = table[:, _first_by_content(*table[:3])]
-    return [data[s : s + n] for n, s in zip(table[0].tolist(), table[3].tolist())]
+    if longest >= MIN_PATTERN_LEN:
+        if index is None:
+            data = b"".join(segment_data)
+            ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), longest)
+            index = _DirectionIndex(ids, bound, None, data, np.cumsum(lengths) - lengths)
+        ids, bound, _, data, starts = index
+        for size, pair, start in _agreement_runs(data, starts, lengths, ids, bound):
+            keyed = np.stack((size, _content_keys(ids, bound, start, size), pair, start))
+            table = np.concatenate((table, keyed), axis=1)
+            table = table[:, _first_by_content(*table[:3])]
+    return table[[0, 1, 3]].T
 
 
 def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[SymbolSequence, ...]:
@@ -384,15 +417,16 @@ def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[
     """
     if len(p1) == 0 or len(p2) == 0:
         raise ValueError("cannot extract patterns from an empty sequence")
-    size = max(p1.alphabet_size, p2.alphabet_size)
-    return tuple(SymbolSequence._of_valid(f, size) for f in _pattern_bytes([p1.data, p2.data]))
+    return build_pattern_set(FlipDictionary(LABEL_XY, (p1, p2))).patterns
 
 
 def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     """Union of common subpatterns over all pairs of distinct dictionary segments."""
     data = [seg.data for seg in dictionary.segments]
+    source = b"".join(data) if dictionary.index is None else dictionary.index.data
     size = max((seg.alphabet_size for seg in dictionary.segments), default=1)
-    patterns = tuple(SymbolSequence._of_valid(frag, size) for frag in _pattern_bytes(data))
+    rows = _pattern_bytes(data, dictionary.index).tolist()
+    patterns = tuple(SymbolSequence._of_valid(source[s : s + n], size) for n, _, s in rows)
     return PatternSet(dictionary.direction, patterns)
 
 
@@ -434,14 +468,12 @@ def _sorted_lookup(keys: np.ndarray):
     return look
 
 
-def _occurrences(
-    cause: bytes, patterns: list[bytes], index: _DirectionIndex
-) -> tuple[np.ndarray, np.ndarray]:
+def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
     """(occurrences, occurrences whose effect window flips) of each distinct pattern.
 
-    ``index`` must reach the longest pattern that occurs. A pattern is keyed
-    at its first occurrence in the cause, so the cause's block ids give exact
-    keys; of equal patterns only the first is credited.
+    Pattern i is given by its length and its key among the cause's blocks of
+    that length (``_content_keys``); ``index`` must reach the longest
+    pattern. Of equal patterns only the first is credited.
     For each pattern length, the window key of every cause position, a chunk
     at a time, is looked up in a dense table when the length's key space has
     at most ``_CHUNK`` entries, and among the sorted pattern keys otherwise.
@@ -450,18 +482,14 @@ def _occurrences(
     Lengths with the same key space share one table, and each resets only the
     keys it wrote.
     """
-    n = len(cause)
-    ids, bound, changed = index
-    lengths = np.array([len(p) for p in patterns], dtype=np.int64)
-    first_at = np.array([cause.find(p) if p else -1 for p in patterns], dtype=np.int64)
-    found = np.flatnonzero(first_at >= 0)
-    n_occ, n_change, keys = np.zeros((3, len(patterns)), dtype=np.int64)
-    keys[found] = _content_keys(ids, bound, first_at[found], lengths[found])
+    ids, bound, changed = index.ids, index.bound, index.changed
+    n = ids.shape[1]
+    n_occ, n_change = np.zeros((2, len(lengths)), dtype=np.int64)
     prefix = np.zeros(n, dtype=np.intp)  # flips before each index
     np.cumsum(changed, out=prefix[1:])
     tables: dict[int, np.ndarray] = {}
-    for length in sorted(set(lengths[found].tolist())):
-        members = found[lengths[found] == length]
+    for length in sorted(set(lengths.tolist())):
+        members = np.flatnonzero(lengths == length)
         k = length.bit_length() - 1
         space = int(bound[k]) ** 2  # every window key of this length is below it
         if space <= _CHUNK:
@@ -483,12 +511,21 @@ def _occurrences(
     return n_occ, n_change
 
 
+def _response(pattern: bytes, cause: bytes, effect: bytes) -> tuple[int, ...]:
+    """(occurrences, occurrences whose effect window flips) of ``pattern`` in ``cause``."""
+    at, length = np.array([cause.find(pattern)]), np.array([len(pattern)])
+    if at[0] < 0:
+        return 0, 0
+    ids, bound = _block_ids(np.frombuffer(cause, dtype=np.uint8), len(pattern))
+    index = _DirectionIndex(ids, bound, _changes(effect), cause, at)
+    return tuple(int(c[0]) for c in _occurrences(length, _content_keys(ids, bound, at, length), index))
+
+
 def count_occurrences(pattern: SymbolSequence, s: SymbolSequence) -> int:
     """Number of occurrences of ``pattern`` in ``s``, overlapping included."""
     if not 1 <= len(pattern) <= len(s):
         raise ValueError("need 1 <= len(pattern) <= len(s)")
-    index = _direction_index(s.data, _changes(s.data), len(pattern))
-    return int(_occurrences(s.data, [pattern.data], index)[0][0])
+    return _response(pattern.data, s.data, s.data)[0]
 
 
 def response_determinism(
@@ -504,8 +541,7 @@ def response_determinism(
         raise ValueError("cause and effect must have equal length")
     n_occ = n_change = 0
     if 1 <= len(pattern) <= len(cause):
-        index = _direction_index(cause.data, _changes(effect.data), len(pattern))
-        n_occ, n_change = (int(c[0]) for c in _occurrences(cause.data, [pattern.data], index))
+        n_occ, n_change = _response(pattern.data, cause.data, effect.data)
     if not n_occ:
         raise ValueError(f"pattern {pattern.text()!r} does not occur in the cause sequence")
     return n_change, n_occ - n_change, n_change / n_occ
@@ -520,6 +556,15 @@ def binary_entropy(r: float) -> float:
     return -(r * math.log2(r) + (1.0 - r) * math.log2(1.0 - r))
 
 
+def _entropies(n: int, lengths, n_occs, n_changes):
+    """(r_flip, weight, h_binary, h_weighted) of each pattern of a cause of ``n`` symbols."""
+    for length, n_occ, n_change in zip(lengths, n_occs, n_changes):
+        r_flip = n_change / n_occ
+        weight = n_occ / (n - length + 1)
+        h_b = binary_entropy(r_flip)
+        yield r_flip, weight, h_b, weight * h_b
+
+
 def score_direction(
     cause: SymbolSequence, effect: SymbolSequence, direction: str = LABEL_XY
 ) -> DirectionalScore:
@@ -529,39 +574,16 @@ def score_direction(
     if len(cause) < 2:
         raise InputError("causal scoring needs sequences of length >= 2")
     dictionary = build_flip_dictionary(cause, effect, direction)
-    patterns = build_pattern_set(dictionary).patterns
-    if not patterns:
+    rows = _pattern_bytes([seg.data for seg in dictionary.segments], dictionary.index)
+    if not len(rows):
         return DirectionalScore(direction, (), None)
-
-    n = len(cause)
-    n_occs, n_changes = _occurrences(cause.data, [p.data for p in patterns], dictionary.index)
-    scores: list[PatternScore] = []
-    total = 0.0
-    for pattern, n_occ, n_change in zip(patterns, n_occs.tolist(), n_changes.tolist()):
-        r_flip = n_change / n_occ
-        weight = n_occ / (n - len(pattern) + 1)
-        h_b = binary_entropy(r_flip)
-        h_w = weight * h_b
+    lengths, keys, starts = rows.T
+    n_occs, n_changes = _occurrences(lengths, keys, dictionary.index)
+    counts = (cause, lengths.tolist(), starts.tolist(), n_occs.tolist(), n_changes.tolist())
+    total = 0.0  # summed left to right, as the pattern scores come
+    for *_, h_w in _entropies(len(cause), counts[1], *counts[3:]):
         total += h_w
-        scores.append(
-            PatternScore(
-                pattern=pattern,
-                n_change=n_change,
-                n_nochange=n_occ - n_change,
-                r_flip=r_flip,
-                weight=weight,
-                h_binary=h_b,
-                h_weighted=h_w,
-            )
-        )
-    return DirectionalScore(direction, tuple(scores), total / len(scores))
-
-
-def _rank_patterns(winning: DirectionalScore) -> tuple[PatternScore, ...]:
-    """Winning-direction patterns by weighted entropy, then weight."""
-    return tuple(
-        sorted(winning.pattern_scores, key=lambda s: (s.h_weighted, -s.weight, s.pattern.data))
-    )
+    return _lazy(DirectionalScore, direction=direction, h_bar=total / len(rows), _counts=counts)
 
 
 def infer_causal_direction(x: SymbolSequence, y: SymbolSequence) -> CausalReport:
@@ -581,10 +603,8 @@ def infer_causal_direction(x: SymbolSequence, y: SymbolSequence) -> CausalReport
         return CausalReport(score_xy, score_yx, Direction.INDEPENDENT, 0.0, ())
     hxy, hyx = score_xy.effective_h_bar, score_yx.effective_h_bar
     verdict = Direction.lower_wins(hxy, hyx)
-    ranked = ()
-    if verdict != Direction.INDEPENDENT:
-        ranked = _rank_patterns(score_xy if verdict == Direction.X_CAUSES_Y else score_yx)
-    return CausalReport(score_xy, score_yx, verdict, abs(hxy - hyx), ranked)
+    return _lazy(CausalReport, score_xy=score_xy, score_yx=score_yx, verdict=verdict,
+                 strength=abs(hxy - hyx))
 
 
 def _fmt(value: float) -> str:

@@ -135,8 +135,8 @@ def check_trial_value(family: str, value: float, length: int, drop: int) -> None
         raise InputError("phi must lie in [0, 1)")
     elif family == "skew_tent" and not 0 <= value <= 0.9:
         raise InputError("eta must lie in [0, 0.9]")
-    if family in ("ar1", "skew_tent") and length <= drop:
-        raise InputError("length must exceed drop")
+    if family in ("ar1", "skew_tent", "sparse") and length - drop < 2:  # sparse drops nothing
+        raise InputError(f"{family} series would hold fewer than 2 symbols: length={length}, drop={drop}")
 
 
 def delayed_flip_indicator(x_symbols: tuple[int, ...], delay_k: int) -> tuple[int, ...]:

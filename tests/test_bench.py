@@ -1,11 +1,14 @@
 import concurrent.futures
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from dpe import bench, cli
+from dpe import bench, cli, core
 from dpe.bench import (
+    ALL_METHODS,
     emit_results,
     genomic_csv_text,
     results_csv_text,
@@ -13,7 +16,7 @@ from dpe.bench import (
     run_sweep,
 )
 from dpe.errors import DegenerateSeriesWarning, InputError
-from dpe.seqcore import Direction, load_fasta
+from dpe.seqcore import Direction, align_pair, load_fasta
 from dpe.synth import TrialSpec
 
 
@@ -57,6 +60,16 @@ class TestRunSweep:
         a = run_sweep(small_spec(), methods=("dpe", "lzp"), workers=1)
         b = run_sweep(small_spec(), methods=("dpe", "lzp"), workers=2)
         assert a == b
+
+    def test_one_trial_builds_no_pattern_score(self):
+        # the sweep reads verdicts and h_bar only; a report builds its pattern scores when read
+        spec = small_spec(family="ar1", param_name="phi", values=(0.5,), length=300, drop=50, trials=1)
+        with mock.patch.object(core, "PatternScore", wraps=core.PatternScore) as built:
+            dpe_row = run_sweep(spec, ALL_METHODS)[0]
+            assert dpe_row.method == "dpe" and dpe_row.mean_hbar_xy is not None
+            assert not built.called
+            cause, effect = (core.SymbolSequence.from_text(t) for t in ("0110100110", "0011010011"))
+            assert core.score_direction(cause, effect).pattern_scores and built.called
 
     def test_unknown_method(self):
         with pytest.raises(InputError):
@@ -221,6 +234,19 @@ class TestRunGenomic:
         assert result.n_sequences == 3
         assert result.proportion_h0 is not None and 0.0 <= result.proportion_h0 <= 1.0
         assert result.proportion_h1 is not None and 0.0 <= result.proportion_h1 <= 1.0
+
+    def test_builds_no_pattern_score(self, tmp_path):
+        # the genomic path reads verdicts only; a report builds its pattern scores when read
+        rng = random.Random(11)
+        ref = "".join(rng.choice("ACGT") for _ in range(400))
+        mutated = ["".join(rng.choice("ACGT") if rng.random() < 0.1 else c for c in ref) for _ in range(3)]
+        (tmp_path / "g.fasta").write_text("".join(f">s{i}\n{t}\n" for i, t in enumerate([ref] + mutated)))
+        rs, cw, *cands = load_fasta(tmp_path / "g.fasta")
+        with mock.patch.object(core, "PatternScore", wraps=core.PatternScore) as built:
+            assert run_genomic(rs, cw, cands, country="t").proportion_h0 is not None
+            assert not built.called
+            pair = align_pair(rs.masked, cands[0].masked)
+            assert core.infer_causal_direction(pair.x, pair.y).score_xy.pattern_scores and built.called
 
     def test_identical_candidate_counts_in_neither(self, records):
         rs, cw, _ = records
@@ -495,6 +521,19 @@ class TestBenchSpecValues:
         assert cli.main(["bench", "--spec", str(spec), "--out", str(tmp_path / "r.csv")]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("family, param, value, length, drop", (
+        ("ar1", "phi", "0.5", 501, 500), ("ar1", "phi", "0.5", 500, 500),
+        ("skew_tent", "eta", "0.5", 11, 10), ("sparse", "k", "1", 1, 0)))
+    def test_series_under_two_symbols_exits_1_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, family, param, value, length, drop
+    ):
+        trials = []
+        monkeypatch.setattr(bench, "generate_trial", lambda *args: trials.append(args))
+        assert self._bench(tmp_path, family, param, value, length, drop) == 1
+        message = f"error: {family} series would hold fewer than 2 symbols: length={length}, drop={drop}"
+        assert message in capsys.readouterr().err
+        assert trials == [] and not (tmp_path / "r.csv").exists()
 
     def test_sparse_k_above_length_exits_1(self, tmp_path, capsys):
         assert self._bench(tmp_path, "sparse", "k", "20", 10) == 1

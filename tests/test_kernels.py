@@ -69,11 +69,59 @@ def sequence_pairs(draw, max_size=90):
     return SymbolSequence(tuple(cause), alphabet), SymbolSequence(tuple(effect), alphabet)
 
 
+def extracted(segments, index=None):
+    """``_pattern_bytes`` as bytes, cut from the data it read: the packed segments
+    without an index, the cause ``index.data`` with one. A row's key must be that of
+    its content at the content's first place in the cause, where counting meets it."""
+    rows = core._pattern_bytes(segments, index).tolist()
+    if index is None:
+        return [b"".join(segments)[s : s + n] for n, _, s in rows]
+    patterns = [index.data[s : s + n] for n, _, s in rows]
+    first = np.array([index.data.find(p) for p in patterns], dtype=np.int64)
+    lengths = np.array([n for n, _, _ in rows], dtype=np.int64)
+    keys = core._content_keys(index.ids, index.bound, first, lengths) if rows else []
+    assert [key for _, key, _ in rows] == list(keys)
+    return patterns
+
+
+def scattered(segments, gaps):
+    """The index of a cause that holds ``gaps[i]`` and then segment i for each i, and
+    a last symbol; the flip dictionary builds such an index over the cause it cuts."""
+    cause, starts = b"", []
+    for gap, segment in zip(gaps, segments):
+        starts.append(len(cause + gap))
+        cause += gap + segment
+    cause += b"\x07"
+    ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), max([1, *map(len, segments)]))
+    return core._DirectionIndex(ids, bound, None, cause, np.array(starts, dtype=np.int64))
+
+
+@st.composite
+def scattered_segments(draw):
+    """Segments and gaps from one palette, so contents recur in the gaps; the first
+    gap may open with the segments in reverse, so a content's first place in the
+    cause is a gap or a later, longer segment rather than its first holder."""
+    _, palette = draw(palettes())
+    segments = draw(st.lists(words(palette), max_size=7))
+    gaps = draw(st.lists(words(palette, max_size=6), min_size=len(segments), max_size=len(segments)))
+    if gaps and draw(st.booleans()):
+        gaps[0] = b"".join(reversed(segments)) + gaps[0]
+    return segments, gaps
+
+
 class TestExtractionOrder:
     @given(segment_lists(), CHUNKS)
     def test_matches_ordered_oracle(self, segments, chunk):
         with mock.patch.object(core, "_CHUNK", chunk):
-            assert core._pattern_bytes(segments) == naive_pattern_order(segments)
+            assert extracted(segments) == naive_pattern_order(segments)
+
+    @given(scattered_segments(), CHUNKS)
+    def test_packed_and_scattered_sources_match_ordered_oracle(self, drawn, chunk):
+        segments, gaps = drawn
+        want = naive_pattern_order(segments)
+        with mock.patch.object(core, "_CHUNK", chunk):
+            assert extracted(segments) == want
+            assert extracted(segments, scattered(segments, gaps)) == want
 
     @given(palettes().flatmap(lambda ap: st.tuples(words(ap[1], 1), words(ap[1], 1))), CHUNKS)
     def test_pair_extraction_keeps_order(self, pair, chunk):
@@ -89,15 +137,14 @@ class TestExtractionOrder:
     def test_one_pair_over_many_chunks(self, pair, chunk):
         # the offsets of one pair are split over many chunks and batches
         with mock.patch.object(core, "_CHUNK", chunk):
-            assert core._pattern_bytes(list(pair)) == naive_pattern_order(list(pair))
+            assert extracted(list(pair)) == naive_pattern_order(list(pair))
 
     def test_zero_or_one_segment(self):
-        assert core._pattern_bytes([]) == []
-        assert core._pattern_bytes([b"\x00\x01\x00"]) == []
+        assert core._pattern_bytes([]).shape == core._pattern_bytes([b"\x00\x01\x00"]).shape == (0, 3)
 
     def test_equal_length_and_length_two_segments(self):
         segments = [b"\x01\x01", b"\x00\x00", b"\x01\x01\x00", b"\x00\x01\x01", b"\x00\x00"]
-        assert core._pattern_bytes(segments) == naive_pattern_order(segments)
+        assert extracted(segments) == naive_pattern_order(segments)
 
     def test_duplicates_straddle_chunks(self):
         # the same fragments recur in every pair, so each one is met in many chunks
@@ -105,14 +152,14 @@ class TestExtractionOrder:
         want = naive_pattern_order(segments)
         for chunk in (8, 17, 40, core._CHUNK):
             with mock.patch.object(core, "_CHUNK", chunk):
-                assert core._pattern_bytes(segments) == want
+                assert extracted(segments) == want
 
     def test_long_runs_cross_the_packed_limit(self):
         for symbol, alphabet in ((0, 2), (3, 4), (255, 256)):
             run = bytes([symbol]) * 70
             segments = [run[:33] + b"\x01", run[:50], b"\x01" + run[:64], run[:5] + b"\x01" + run[:40]]
             segments = [bytes(s % alphabet for s in seg) for seg in segments]
-            assert core._pattern_bytes(segments) == naive_pattern_order(segments)
+            assert extracted(segments) == naive_pattern_order(segments)
 
 
 def ordered_firsts(lengths, keys, rank):
@@ -211,10 +258,10 @@ class TestFirstWindows:
     def test_matches_first_window_reference(self, alphabet, widths, min_length, min_pairs, wide, data):
         segments, pairs = data.draw(window_pairs(alphabet, widths, min_length, min_pairs))
         ids, bound = core._block_ids(np.frombuffer(b"".join(segments), dtype=np.uint8), max(widths))
-        offsets = np.cumsum([0] + [len(s) for s in segments])
+        lengths = np.array([len(s) for s in segments], dtype=np.int64)
         width, seg = (np.array(column, dtype=np.int64) for column in zip(*pairs))
         with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
-            start, width = core._first_windows(ids, bound, offsets, width, seg)
+            start, width = core._first_windows(ids, bound, np.cumsum(lengths) - lengths, lengths, width, seg)
         assert list(zip(start.tolist(), width.tolist())) == naive_first_windows(segments, pairs)
         assert lexsort.called == wide
 
@@ -227,11 +274,15 @@ def crowded_segment_lists(draw):
 
 
 def check_every_budget(segments, want=None):
+    """Both sources at every budget: packed, and scattered in a cause that opens with
+    the segments in reverse and parts them with 0-2 copies of a filler symbol."""
     want = naive_pattern_order(segments) if want is None else want
     assert want == naive_pattern_order(segments)
+    gaps = [b"".join(reversed(segments))] + [b"\x07" * (i % 3) for i in range(1, len(segments))]
     for chunk in BUDGETS:
         with mock.patch.object(core, "_CHUNK", chunk):
-            assert core._pattern_bytes(segments) == want
+            assert extracted(segments) == want
+            assert extracted(segments, scattered(segments, gaps)) == want
 
 
 class TestExtractionRows:
@@ -312,16 +363,17 @@ class TestFlipCut:
 
 
 class TestOneIndexPerDirection:
-    """A direction indexes the cause once; the dictionary hands its index to counting."""
+    """A direction indexes the cause once; extraction and counting read the
+    dictionary's index, and counting takes its keys from extraction."""
 
     X = SymbolSequence.from_text("011101111010011001110101101001", 2)
     Y = SymbolSequence.from_text("000001000010000000000100001000", 2)
 
-    def test_block_ids_built_once_for_the_cause_and_once_for_extraction(self):
+    def test_block_ids_built_once_per_direction(self):
         with mock.patch.object(core, "_block_ids", wraps=core._block_ids) as block_ids:
             score = score_direction(self.X, self.Y)
-        assert score.pattern_scores and block_ids.call_count == 2
-        assert block_ids.call_args_list[0].args[0].tobytes() == self.X.data
+        assert score.pattern_scores and block_ids.call_count == 1
+        assert block_ids.call_args.args[0].tobytes() == self.X.data
 
     def test_layers_are_called_through_the_module(self):
         # a tracer wraps these two module attributes to time the dictionary and extraction
@@ -329,8 +381,20 @@ class TestOneIndexPerDirection:
                 mock.patch.object(core, "_pattern_bytes", wraps=core._pattern_bytes) as extract:
             score_direction(self.X, self.Y, core.LABEL_YX)
         cut.assert_called_once_with(self.X, self.Y, core.LABEL_YX)
-        segments = build_flip_dictionary(self.X, self.Y).segments
-        extract.assert_called_once_with([s.data for s in segments])
+        dictionary = build_flip_dictionary(self.X, self.Y)
+        (segment_data, index), = (c.args for c in extract.call_args_list)
+        assert segment_data == [s.data for s in dictionary.segments]
+        assert index.data == self.X.data and index.starts.tolist() == dictionary.index.starts.tolist()
+
+    def test_tracer_reads_the_pattern_count_and_calls_with_one_argument(self):
+        # the tracer counts patterns as len() of the result and samples its
+        # memory with the segments alone, which packs them
+        dictionary = build_flip_dictionary(self.X, self.Y)
+        segment_data = [s.data for s in dictionary.segments]
+        want = [s.pattern.data for s in score_direction(self.X, self.Y).pattern_scores]
+        assert len(core._pattern_bytes(segment_data, dictionary.index)) == len(want) > 0
+        assert len(core._pattern_bytes(segment_data)) == len(want)
+        assert extracted(segment_data) == extracted(segment_data, dictionary.index) == want
 
     def test_index_is_left_out_of_equality_and_repr(self):
         built = build_flip_dictionary(self.X, self.Y)
@@ -341,10 +405,16 @@ class TestOneIndexPerDirection:
 
 
 def occurrences(cause: bytes, effect: bytes, patterns: list[bytes]):
-    """Counting from an index of the cause that reaches the longest pattern."""
-    top = min(len(cause), max(map(len, patterns)))
-    index = core._direction_index(cause, core._changes(effect), top)
-    return core._occurrences(cause, patterns, index)
+    """Counting from an index of the cause that reaches the longest pattern, each
+    pattern keyed at its first place in the cause; one that is not there counts 0."""
+    first = np.array([cause.find(p) for p in patterns], dtype=np.int64)
+    found = np.flatnonzero(first >= 0)
+    lengths = np.array([len(p) for p in patterns], dtype=np.int64)[found]
+    ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), int(lengths.max()))
+    index = core._DirectionIndex(ids, bound, core._changes(effect), cause, first[found])
+    counts = np.zeros((2, len(patterns)), dtype=np.int64)
+    counts[:, found] = core._occurrences(lengths, core._content_keys(ids, bound, first[found], lengths), index)
+    return counts
 
 
 class TestCountingKernel:

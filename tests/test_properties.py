@@ -13,6 +13,8 @@ from oracles import (
     naive_response,
 )
 from dpe.core import (
+    CausalReport,
+    DirectionalScore,
     build_flip_dictionary,
     build_pattern_set,
     binary_entropy,
@@ -198,6 +200,30 @@ class TestScoreInvariants:
     def test_self_independence_quaternary(self, pair):
         s, _ = pair
         assert infer_causal_direction(s, s).verdict == Direction.INDEPENDENT
+
+
+class TestLazyScores:
+    """Scores hold counts and build their pattern objects on first read."""
+
+    @given(seq_pairs(max_size=60, alphabet=3))
+    def test_h_bar_is_the_left_to_right_mean_of_the_pattern_scores(self, pair):
+        score = score_direction(*pair)
+        total = 0.0
+        for s in score.pattern_scores:
+            total += s.h_weighted
+        assert score.h_bar == (total / len(score.pattern_scores) if score.pattern_scores else None)
+
+    @given(seq_pairs(max_size=60, alphabet=3))
+    def test_equal_and_repr_as_values_built_eagerly(self, pair):
+        x, y = pair
+        report = infer_causal_direction(x, y)
+        xy, yx = (DirectionalScore(s.direction, s.pattern_scores, s.h_bar)
+                  for s in (report.score_xy, report.score_yx))
+        eager = CausalReport(xy, yx, report.verdict, report.strength, report.deterministic_patterns)
+        assert infer_causal_direction(x, y) == eager and eager == infer_causal_direction(x, y)
+        assert repr(infer_causal_direction(x, y)) == repr(eager)
+        assert hash(score_direction(y, x, "Y->X")) == hash(yx)
+        assert repr(eager).startswith("CausalReport(score_xy=DirectionalScore(direction='X->Y', pattern_scores=(")
 
 
 class TestGeneratorDeterminism:
