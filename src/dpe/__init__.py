@@ -11,7 +11,6 @@ from .baselines import (
 from .bench import (
     GenomicHypothesisResult,
     SweepResult,
-    emit_results,
     run_genomic,
     run_sweep,
 )
@@ -25,7 +24,6 @@ from .core import (
     build_flip_dictionary,
     build_pattern_set,
     count_occurrences,
-    export_pattern_graph,
     extract_common_subpatterns,
     infer_causal_direction,
     report_text,

@@ -12,7 +12,6 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 from .baselines import BASELINE_METHODS, baseline_verdicts
 from .core import infer_causal_direction
@@ -160,10 +159,6 @@ def results_csv_text(results: list[SweepResult]) -> str:
             f"{r.n_correct},{r.n_independent},{r.accuracy:.6f},{xy},{yx},{variant}"
         )
     return "\n".join(lines) + "\n"
-
-
-def emit_results(results: list[SweepResult], path: str | Path) -> None:
-    Path(path).write_text(results_csv_text(results), encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)

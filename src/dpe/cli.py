@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from .core import export_pattern_graph, infer_causal_direction, report_text
+from .core import infer_causal_direction, pattern_graph_text, report_text
 from .demo import demo_text
 from .errors import InputError
 from .seqcore import (
@@ -70,6 +70,11 @@ def _to_symbols(series: RealSeries, mode: str, other: RealSeries) -> SymbolSeque
     return SymbolSequence(tuple(symbols), int(top) + 1)
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write one output file, UTF-8 with "\\n" line ends on every platform."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 def cmd_infer(args) -> int:
     if args.drop < 0:
         raise InputError(f"--drop must be >= 0, got {args.drop}")
@@ -83,16 +88,20 @@ def cmd_infer(args) -> int:
     report = infer_causal_direction(x, y)
     text = report_text(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.graph:
-        export_pattern_graph(report, args.graph)
+        _write(args.graph, pattern_graph_text(report))
     return 0
 
 
 def _build_spec(args) -> TrialSpec:
-    if args.spec:
+    if args.spec is not None:
+        if args.seed is not None:
+            raise InputError("--seed cannot be combined with --spec: the config file sets the seed")
+        if args.full:
+            raise InputError("--full cannot be combined with --spec: the config file sets the trials")
         spec = TrialSpec.from_config(read_text(args.spec))
         if args.trials is not None:
             spec = replace(spec, trials=args.trials)
@@ -107,7 +116,7 @@ def _build_spec(args) -> TrialSpec:
         length=length,
         drop=drop,
         trials=trials,
-        seed=args.seed,
+        seed=42 if args.seed is None else args.seed,
     )
 
 
@@ -115,7 +124,7 @@ def cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     spec = _build_spec(args)
     results = bench_mod.run_sweep(spec, methods=methods, workers=args.workers)
-    bench_mod.emit_results(results, args.out)
+    _write(args.out, bench_mod.results_csv_text(results))
     for r in results:
         print(
             f"{r.family} {r.param_name}={r.param_value:g} {r.method}: "
@@ -142,7 +151,7 @@ def cmd_genomic(args) -> int:
     for path in sorted(cand_dir.glob("*.fa")) + sorted(cand_dir.glob("*.fasta")):
         candidates.extend(load_fasta(path))
     result = bench_mod.run_genomic(rs, cw, candidates, country=cand_dir.name)
-    Path(args.out).write_text(bench_mod.genomic_csv_text([result]), encoding="utf-8")
+    _write(args.out, bench_mod.genomic_csv_text([result]))
     h0 = "no-data" if result.proportion_h0 is None else f"{result.proportion_h0:.4f}"
     h1 = "no-data" if result.proportion_h1 is None else f"{result.proportion_h1:.4f}"
     print(f"{result.country}: {result.n_sequences} candidates")
@@ -174,14 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("bench", help="run a synthetic sweep battery")
-    p.add_argument("--family", choices=tuple(FAMILY_ALIASES), help="experiment family")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=tuple(FAMILY_ALIASES), help="experiment family")
+    source.add_argument("--spec", help="key=value config file giving the whole battery")
     p.add_argument("--methods", default="dpe", help="comma list from dpe,lzp,etcp,etce")
     p.add_argument("--trials", type=int, default=None, help="trials per parameter value")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, help="random seed (default 42)")
     p.add_argument("--full", action="store_true", help="full-scale trial counts")
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--spec", help="key=value config file overriding --family defaults")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("genomic", help="reference-vs-candidates hypothesis counting")
@@ -199,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bench" and not args.spec and not args.family:
-        print("error: bench needs --family or --spec", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except InputError as exc:

@@ -1,0 +1,244 @@
+"""Mutation kill list: each mutant breaks one rule the tests must guard.
+
+A mutant is one exact text replacement in one file of ``src/dpe``, with the
+reason the rule matters and the tests expected to fail on it. Every mutant is
+applied to a fresh copy of ``src`` and ``tests`` in a temporary directory and
+its tests are run there with pytest; the repository itself is never edited.
+The unmutated copy must pass the same tests first.
+
+    python tests/mutation.py            # every mutant
+    python tests/mutation.py NAME ...   # the named mutants only
+
+Exit status 0 when every mutant was killed, 1 when one survived, 2 when the
+unmutated copy fails. Standard library only; pytest does not collect this
+file, as its name does not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    reason: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "rank-weight-sign", "src/dpe/core.py",
+        "key=lambda s: (s.h_weighted, -s.weight, s.pattern.data)",
+        "key=lambda s: (s.h_weighted, s.weight, s.pattern.data)",
+        "ranked patterns of equal weighted entropy come heaviest first",
+        ("tests/test_core.py::TestAttributePatterns", "tests/test_golden.py::test_outputs_match_recorded_digests"),
+    ),
+    Mutant(
+        "independent-ranks-patterns", "src/dpe/core.py",
+        "if self.verdict == Direction.INDEPENDENT:\n            return ()",
+        "if self.verdict == Direction.INDEPENDENT:\n            pass",
+        "an independent verdict has no winning direction, so it ranks no pattern",
+        ("tests/test_core.py::TestAttributePatterns",),
+    ),
+    Mutant(
+        "trigger-one-miss", "src/dpe/core.py",
+        'return "trigger" if self.n_nochange == 0 else None',
+        'return "trigger" if self.n_nochange <= 1 else None',
+        "a trigger has a flip ratio of exactly 1: every occurrence flips the effect",
+        ("tests/test_properties.py::TestScoreInvariants", "tests/test_core.py::TestAttributePatterns"),
+    ),
+    Mutant(
+        "single-symbol-runs", "src/dpe/core.py",
+        "run = size >= MIN_PATTERN_LEN",
+        "run = size > MIN_PATTERN_LEN",
+        "an agreement run of exactly two symbols is a pattern",
+        ("tests/test_kernels.py::TestExtractionOrder",),
+    ),
+    Mutant(
+        "unhashable-counts", "src/dpe/core.py",
+        "counts = [tuple(a.tolist()) for a in",
+        "counts = [a.tolist() for a in",
+        "scores of identical inputs compare and hash equal, so their counts are tuples",
+        ("tests/test_properties.py::TestLazyScores",),
+    ),
+    Mutant(
+        "flip-cut-parity", "src/dpe/core.py",
+        "stops = flips[np.flatnonzero((place & 1) == 0)] + 1",
+        "stops = flips[np.flatnonzero((place & 1) == 1)] + 1",
+        "within a run of consecutive flips those at even offsets cut, so every segment has length >= 2",
+        ("tests/test_kernels.py::TestFlipCut", "tests/test_kernels.py::TestDictionaryOrder"),
+    ),
+    Mutant(
+        "counting-table-kept", "src/dpe/core.py",
+        "tables[space][keys[members]] = 0",
+        "pass",
+        "lengths of one key space share a table, so each must clear the keys it wrote",
+        ("tests/test_kernels.py::TestCountingKernel", "tests/test_kernels.py::TestLookupSides"),
+    ),
+    Mutant(
+        "weight-window-count", "src/dpe/core.py",
+        "weight = n_occ / (n - length + 1)",
+        "weight = n_occ / (n - length)",
+        "a pattern's weight is its share of the cause's n - L + 1 windows of its length",
+        ("tests/test_core.py::TestScoreDirection",),
+    ),
+    Mutant(
+        "spec-not-exclusive", "src/dpe/cli.py",
+        "source = p.add_mutually_exclusive_group(required=True)",
+        "source = p",
+        "a battery comes from --family or from --spec, never both and never neither",
+        ("tests/test_bench.py::TestBenchSpecValues",),
+    ),
+    Mutant(
+        "spec-takes-seed", "src/dpe/cli.py",
+        "if args.seed is not None:",
+        "if False:",
+        "the --spec file sets the seed, so a --seed next to it would be silently ignored",
+        ("tests/test_bench.py::TestBenchSpecValues",),
+    ),
+    Mutant(
+        "seed-ignored", "src/dpe/cli.py",
+        "seed=42 if args.seed is None else args.seed,",
+        "seed=42,",
+        "--seed sets the battery's random streams",
+        ("tests/test_bench.py::TestCli",),
+    ),
+    Mutant(
+        "platform-line-ends", "src/dpe/cli.py",
+        'newline="\\n"',
+        'newline="\\r\\n"',
+        "every output file is byte-identical on every platform",
+        ("tests/test_golden.py::test_outputs_match_recorded_digests",),
+    ),
+    Mutant(
+        "etc-touching-gain", "src/dpe/baselines.py",
+        "gained.append(fresh + fresh)",
+        "pass",
+        "two touching replaced occurrences make one X X pair the patched counts must gain",
+        ("tests/test_baselines.py::TestOracles", "tests/test_baselines.py::TestEtcUpdatePaths"),
+    ),
+    Mutant(
+        "lz76-resume-point", "src/dpe/baselines.py",
+        "k = data.find(data[i:j], k + 1, j - 1)",
+        "k = data.find(data[i:j], k + 2, j - 1)",
+        "a match of the grown phrase may start right after the last one that failed",
+        ("tests/test_baselines.py::TestOracles", "tests/test_baselines.py::TestLz76"),
+    ),
+    Mutant(
+        "align-one-position", "src/dpe/seqcore.py",
+        "if usable < 2:",
+        "if usable < 1:",
+        "a pair with fewer than 2 shared positions has no flip to score and is skipped",
+        ("tests/test_seqcore.py::TestAlignPair", "tests/test_bench.py::TestRunGenomic"),
+    ),
+    Mutant(
+        "sweep-builds-patterns", "src/dpe/bench.py",
+        "hbar_xy = report.score_xy.h_bar",
+        "hbar_xy = report.score_xy.h_bar + 0 * len(report.deterministic_patterns)",
+        "a sweep reads verdicts and h_bar only, so it must build no pattern object",
+        ("tests/test_bench.py::TestRunSweep",),
+    ),
+    Mutant(
+        "independent-count", "src/dpe/bench.py",
+        "1 for o in outcomes if o.verdicts[method] == Direction.INDEPENDENT",
+        "1 for o in outcomes if o.verdicts[method] != Direction.INDEPENDENT",
+        "the independent column counts independent verdicts",
+        ("tests/test_golden.py::test_outputs_match_recorded_digests",),
+    ),
+    Mutant(
+        "series-of-one-symbol", "src/dpe/synth.py",
+        'and length - drop < 2:  # sparse drops nothing',
+        'and length - drop < 1:  # sparse drops nothing',
+        "a battery whose series hold one symbol fails before its first trial, not inside it",
+        ("tests/test_bench.py::TestBenchSpecValues",),
+    ),
+    Mutant(
+        "rng-lane-order", "src/dpe/rng.py",
+        "out[first : first + count] = block.T.ravel()[:count]",
+        "out[first : first + count] = block.ravel()[:count]",
+        "lane k holds the k-th block of the stream, so the draws come lane by lane",
+        ("tests/test_synth.py::TestBlockDraws",),
+    ),
+    Mutant(
+        "rng-kept-state", "src/dpe/rng.py",
+        "self._state = int(out[first + count - 1])",
+        "self._state = int(out[first])",
+        "the next draw resumes after the last state handed out",
+        ("tests/test_synth.py::TestBlockDraws",),
+    ),
+    Mutant(
+        "rng-odd-spare", "src/dpe/rng.py",
+        "if (n - head) % 2:",
+        "if (n - head) % 2 == 0:",
+        "an odd count of normals keeps the pair's second value for the next draw",
+        ("tests/test_synth.py::TestBlockDraws",),
+    ),
+)
+
+
+def _pytest(copy: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
+
+
+def _fresh_copy(scratch: Path) -> Path:
+    copy = scratch / "repo"
+    shutil.rmtree(copy, ignore_errors=True)
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests", "pyproject.toml"):
+        source = ROOT / part
+        if source.is_dir():
+            shutil.copytree(source, copy / part, ignore=ignore)
+        else:
+            shutil.copy2(source, copy / part)
+    return copy
+
+
+def _apply(copy: Path, mutant: Mutant) -> None:
+    path = copy / mutant.path
+    text = path.read_text(encoding="utf-8")
+    found = text.count(mutant.old)
+    if found != 1:
+        raise SystemExit(f"{mutant.name}: expected one {mutant.old!r} in {mutant.path}, found {found}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="dpe-mutation-") as scratch:
+        tests = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+        baseline = _pytest(_fresh_copy(Path(scratch)), tests)
+        if baseline.returncode != 0:
+            print(baseline.stdout + baseline.stderr, file=sys.stderr)
+            print("the unmutated copy fails its tests", file=sys.stderr)
+            return 2
+        survivors = []
+        for mutant in chosen:
+            copy = _fresh_copy(Path(scratch))
+            _apply(copy, mutant)
+            killed = _pytest(copy, mutant.tests).returncode != 0
+            print(f"{'killed  ' if killed else 'SURVIVED'} {mutant.name}: {mutant.reason}")
+            if not killed:
+                survivors.append(mutant.name)
+    print(f"{len(chosen) - len(survivors)}/{len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

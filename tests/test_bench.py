@@ -9,7 +9,6 @@ import pytest
 from dpe import bench, cli, core
 from dpe.bench import (
     ALL_METHODS,
-    emit_results,
     genomic_csv_text,
     results_csv_text,
     run_genomic,
@@ -194,11 +193,9 @@ class TestEmitResults:
             else:
                 assert cells[8] == "" and cells[9] == "" and cells[10] == "variant"
 
-    def test_byte_identical_reruns(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(run_sweep(small_spec(), methods=("dpe",)), p1)
-        emit_results(run_sweep(small_spec(), methods=("dpe",)), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_byte_identical_reruns(self):
+        texts = [results_csv_text(run_sweep(small_spec(), methods=("dpe",))) for _ in range(2)]
+        assert texts[0] == texts[1]
 
     def test_empty_results_rejected(self):
         with pytest.raises(InputError):
@@ -380,6 +377,15 @@ class TestCli:
         assert lines[0].startswith("family,parameter,value,method")
         assert len(lines) == 1 + 7  # delays 0..6
 
+    def test_seed_defaults_to_42_and_sets_the_battery(self, tmp_path):
+        def csv(*seed):
+            out = tmp_path / f"r{''.join(seed)}.csv"
+            argv = ["bench", "--family", "delay", "--trials", "2", *seed, "--out", str(out)]
+            assert cli.main(argv) == 0
+            return out.read_bytes()
+
+        assert csv() == csv("--seed", "42") != csv("--seed", "7")
+
     def test_bench_spec_config(self, tmp_path):
         spec = tmp_path / "spec.cfg"
         spec.write_text(
@@ -534,6 +540,40 @@ class TestBenchSpecValues:
         message = f"error: {family} series would hold fewer than 2 symbols: length={length}, drop={drop}"
         assert message in capsys.readouterr().err
         assert trials == [] and not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", (
+        (["--family", "ar1"], "argument --family: not allowed with argument --spec"),
+        (["--seed", "7"], "--seed cannot be combined with --spec: the config file sets the seed"),
+        (["--full"], "--full cannot be combined with --spec: the config file sets the trials"),
+    ))
+    def test_option_the_spec_sets_exits_1_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        trials = []
+        monkeypatch.setattr(bench, "generate_trial", lambda *args: trials.append(args))
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("family=ar1\nparam=phi\nvalues=0.5\nlength=600\ndrop=500\ntrials=1\nseed=3\n")
+        out = tmp_path / "r.csv"
+        try:
+            code = cli.main(["bench", "--spec", str(spec), *flags, "--out", str(out)])
+        except SystemExit as exc:  # a usage error, from argparse
+            code = exc.code
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert trials == [] and not out.exists()
+
+    def test_family_or_spec_is_required(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 1
+        assert "error: one of the arguments --family --spec is required" in capsys.readouterr().err
+
+    def test_trials_override_the_spec(self, tmp_path):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("family=delay_bitflip\nparam=delay\nvalues=1\nlength=64\ndrop=0\ntrials=1\nseed=3\n")
+        out = tmp_path / "r.csv"
+        assert cli.main(["bench", "--spec", str(spec), "--trials", "3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == "3"
 
     def test_sparse_k_above_length_exits_1(self, tmp_path, capsys):
         assert self._bench(tmp_path, "sparse", "k", "20", 10) == 1

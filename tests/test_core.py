@@ -10,10 +10,9 @@ from dpe.core import (
     build_flip_dictionary,
     build_pattern_set,
     count_occurrences,
-    export_pattern_graph,
     extract_common_subpatterns,
     infer_causal_direction,
-    pattern_graph_lines,
+    pattern_graph_text,
     report_text,
     response_determinism,
     score_direction,
@@ -259,11 +258,10 @@ class TestAttributePatterns:
 
 
 class TestPatternGraph:
-    def test_node_counts_and_format(self, tmp_path):
-        report = infer_causal_direction(X, Y)
-        path = tmp_path / "graph.jsonl"
-        export_pattern_graph(report, path)
-        lines = path.read_text().splitlines()
+    def test_node_counts_and_format(self):
+        text = pattern_graph_text(infer_causal_direction(X, Y))
+        assert text.endswith("}\n")
+        lines = text.splitlines()
         assert len(lines) == 8 + 3
         nodes = [json.loads(line) for line in lines]
         directions = {n["direction"] for n in nodes}
@@ -276,17 +274,19 @@ class TestPatternGraph:
         raw = next(line for line in lines if '"pattern": "01",' in line and "X->Y" in line)
         assert '"r_flip": 0.444444' in raw
 
-    def test_deterministic_nodes_have_zero_entropy(self, tmp_path):
+    def test_deterministic_nodes_have_zero_entropy(self):
         report = infer_causal_direction(X, Y)
-        nodes = [json.loads(line) for line in pattern_graph_lines(report)]
+        nodes = [json.loads(line) for line in pattern_graph_text(report).splitlines()]
         trigger = next(n for n in nodes if n["pattern"] == "1101")
         assert trigger["h_weighted"] == 0.0
 
-    def test_no_evidence_direction_emits_nothing(self, tmp_path):
+    def test_no_evidence_direction_emits_nothing(self):
         report = infer_causal_direction(X, SymbolSequence((0,) * len(X), 2))
-        lines = pattern_graph_lines(report)
+        lines = pattern_graph_text(report).splitlines()
         assert all(json.loads(line)["direction"] == "Y->X" for line in lines)
         assert lines  # the informative direction still exports
+        constant = SymbolSequence((1,) * len(X), 2)
+        assert pattern_graph_text(infer_causal_direction(constant, constant)) == ""
 
 
 class TestReportText:

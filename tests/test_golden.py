@@ -1,8 +1,8 @@
 """Byte-identity of the program's outputs: sha256 of every user-visible file.
 
 The demo text, two ``dpe infer`` reports with their pattern graphs, one
-``dpe bench`` CSV per family at seed 42 and an ar1 CSV run on two workers are
-produced in-process through ``cli.main`` and compared with digests recorded
+``dpe bench`` CSV per family at seed 42, an ar1 CSV run on two workers and a
+``dpe genomic`` CSV over a small FASTA set are produced in-process through ``cli.main`` and compared with digests recorded
 from the program. Pattern order sets the report rows and the summation order
 of ``h_bar``, so a refactor that reorders anything shows up here.
 
@@ -31,6 +31,7 @@ DIGESTS = {
     "bench-tent-w1": "a9012a5655182a2d135eb02c3669a62adff8c37673a3d947b1fa5a04040d7c96",
     "bench-sparse-w1": "dde8f46330bc6aaaec2e1a1e0444ce8841e6a2c5330eb90fc4295d6bede9ff13",
     "bench-ar1-w2": "47938f1531e72dd65f61954e567097548e66ecf787facd96e42796f5a05c0f6f",
+    "genomic": "671317221ee6ffaedeee71e69c9149d697eeddb0a07a421f2d022b7cbce42e56",
 }
 
 BENCH_FAMILIES = ("delay", "ar1", "tent", "sparse")
@@ -47,6 +48,29 @@ def _pair_csv(path):
         rows.append(f"{x:.6f},{y:.6f}")
         x_prev = x
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _fasta_set(root):
+    """A reference, a first in-country sequence and a candidate directory: point
+    mutants of one random genome, with N runs to mask and one all-N candidate
+    that no reference can be aligned with."""
+    rng = random.Random(2025)
+    genome = [rng.choice("ACGT") for _ in range(900)]
+
+    def mutant(rate, masked=0):
+        bases = [rng.choice("ACGT") if rng.random() < rate else b for b in genome]
+        at = rng.randrange(len(bases) - masked)
+        bases[at : at + masked] = "N" * masked
+        return "".join(bases)
+
+    (root / "ref.fa").write_text(f">ref\n{''.join(genome)}\n", encoding="utf-8")
+    (root / "cw.fa").write_text(f">cw\n{mutant(0.05)}\n", encoding="utf-8")
+    candidates = root / "testland"
+    candidates.mkdir()
+    first = "".join(f">c{i}\n{mutant(0.02 * i, masked=5 * i)}\n" for i in range(1, 6))
+    (candidates / "a.fa").write_text(first, encoding="utf-8")
+    (candidates / "b.fasta").write_text(f">c6\n{mutant(0.3)}\n>gap\n{'N' * 50}\n", encoding="utf-8")
+    return root / "ref.fa", root / "cw.fa", candidates
 
 
 def _run(argv):
@@ -73,6 +97,13 @@ def _capture(tmp_path, capsys):
         _run(["bench", "--family", family, "--seed", "42", "--trials", "2",
               "--methods", "dpe,lzp,etcp,etce", "--workers", workers, "--out", str(csv)])
         out[f"bench-{family}-w{workers}"] = csv.read_bytes()
+    fasta = tmp_path / "fasta"
+    fasta.mkdir()
+    reference, cw, candidates = _fasta_set(fasta)
+    csv = tmp_path / "genomic.csv"
+    _run(["genomic", "--reference", str(reference), "--cw", str(cw),
+          "--candidates", str(candidates), "--out", str(csv)])
+    out["genomic"] = csv.read_bytes()
     capsys.readouterr()
     return out
 

@@ -1,5 +1,7 @@
 """Property suites: oracle equivalences and structural invariants."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,8 @@ from oracles import (
     naive_pattern_set,
     naive_response,
 )
+from dpe import core
 from dpe.core import (
-    CausalReport,
-    DirectionalScore,
     build_flip_dictionary,
     build_pattern_set,
     binary_entropy,
@@ -214,16 +215,17 @@ class TestLazyScores:
         assert score.h_bar == (total / len(score.pattern_scores) if score.pattern_scores else None)
 
     @given(seq_pairs(max_size=60, alphabet=3))
-    def test_equal_and_repr_as_values_built_eagerly(self, pair):
+    def test_equal_hash_and_repr_build_no_pattern_score(self, pair):
         x, y = pair
-        report = infer_causal_direction(x, y)
-        xy, yx = (DirectionalScore(s.direction, s.pattern_scores, s.h_bar)
-                  for s in (report.score_xy, report.score_yx))
-        eager = CausalReport(xy, yx, report.verdict, report.strength, report.deterministic_patterns)
-        assert infer_causal_direction(x, y) == eager and eager == infer_causal_direction(x, y)
-        assert repr(infer_causal_direction(x, y)) == repr(eager)
-        assert hash(score_direction(y, x, "Y->X")) == hash(yx)
-        assert repr(eager).startswith("CausalReport(score_xy=DirectionalScore(direction='X->Y', pattern_scores=(")
+        with mock.patch.object(core, "PatternScore", wraps=core.PatternScore) as built:
+            report, again = infer_causal_direction(x, y), infer_causal_direction(x, y)
+            assert report == again and hash(report) == hash(again) and repr(report) == repr(again)
+            score = score_direction(y, x, "Y->X")
+            assert score == report.score_yx and hash(score) == hash(report.score_yx)
+            assert repr(report).startswith("CausalReport(score_xy=DirectionalScore(direction='X->Y', h_bar=")
+            assert not built.called
+        _ = report.deterministic_patterns, again.score_yx.pattern_scores  # cached, never compared
+        assert report == again and hash(report) == hash(again) and repr(report) == repr(again)
 
 
 class TestGeneratorDeterminism:

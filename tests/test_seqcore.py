@@ -332,6 +332,12 @@ class TestAlignPair:
         with pytest.raises(UnusablePairError):
             align_pair(a, b)
 
+    def test_one_usable_position_is_unusable(self):
+        a = MaskedSequence(SymbolSequence((0, 0, 0), 4), (True, False, True))
+        b = MaskedSequence(SymbolSequence((1, 1, 1), 4), (False, False, False))
+        with pytest.raises(UnusablePairError, match="1 usable positions, need >= 2"):
+            align_pair(a, b)
+
     def test_different_alphabets_are_an_input_error(self):
         with pytest.raises(InputError, match="2 and 4 symbols"):
             align_pair(SymbolSequence((0, 1), 2), SymbolSequence((0, 3), 4))
