@@ -97,11 +97,20 @@ def _pair_counts(text: str) -> tuple[Counter, list[tuple[int, str]]]:
     """Overlapping counts of adjacent pairs, and a heap of (-count, pair).
 
     The heap's top is the most frequent pair, ties going to the smallest.
+    The pairs are counted by one sort of ``left << 32 | right`` over the code
+    points, so the dict and the heap are built from the distinct pairs only.
+    Fresh symbols pass the surrogates U+D800-U+DFFF on long inputs, which
+    UTF-32 encodes only with ``surrogatepass``.
     """
-    counts = Counter(map(operator.add, text, text[1:]))
-    heap = [(-count, pair) for pair, count in counts.items()]
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+    pairs, counts = np.unique(codes[:-1] << 32 | codes[1:], return_counts=True)
+    halves = np.empty((len(pairs), 2), dtype="<u4")
+    halves[:, 0], halves[:, 1] = pairs >> 32, pairs & 0xFFFFFFFF
+    distinct = halves.tobytes().decode("utf-32-le", "surrogatepass")
+    distinct = list(map(operator.add, distinct[::2], distinct[1::2]))
+    heap = list(zip((-counts).tolist(), distinct))
     heapq.heapify(heap)
-    return counts, heap
+    return Counter(dict(zip(distinct, counts.tolist()))), heap
 
 
 def _patch_pair_counts(

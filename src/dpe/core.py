@@ -191,9 +191,12 @@ def _changes(seq: bytes) -> np.ndarray:
 def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.ndarray:
     """Exact key of each block ``arr[s : s + L]`` among blocks of length L.
 
-    It pairs the ids of the two ``2**k``-blocks, ``2**k <= L < 2**(k+1)``, at its ends."""
-    k = np.searchsorted(1 << np.arange(len(ids)), lengths, side="right") - 1
-    return ids[k, starts] * bound[k] + ids[k, starts + lengths - (1 << k)]
+    It pairs the ids of the two ``2**k``-blocks, ``2**k <= L < 2**(k+1)``, at its ends:
+    k is L's binary exponent less one, and both ids are read in the flat table."""
+    k = np.frexp(lengths)[1].astype(np.int64) - 1
+    at = k * ids.shape[1] + starts
+    flat = ids.reshape(-1)
+    return flat[at] * bound[k] + flat[at + lengths - (1 << k)]
 
 
 def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -285,17 +288,22 @@ def _runs(windows: np.ndarray, short: np.ndarray, long: np.ndarray, w: np.ndarra
     """(row, begin, size) of each maximal run of length >= 2 where the first
     ``w[r]`` symbols of ``windows[short[r]]`` and ``windows[long[r]]`` agree.
 
-    ``w`` is ascending: the last row is the widest.
+    ``w`` is ascending: the last row is the widest, and ``windows`` has a
+    column more than it. The rows lie end to end in one buffer, each followed
+    by a cleared separator column, so one 1-D scan finds every run; a run is
+    then clipped to its own row's width.
     """
-    width = int(w[-1])
-    agree = np.zeros((len(w), width + 2), dtype=bool)  # padded: every run starts and ends
-    agree[:, 1:-1] = windows[short, :width] == windows[long, :width]
-    agree[:, 1:-1] &= np.arange(width) < w[:, None]  # a row ends at its own width
-    edges = np.flatnonzero(agree[:, 1:] != agree[:, :-1])  # run starts and ends alternate
-    size = edges[1::2] - edges[::2]
+    width = int(w[-1]) + 1  # with the separator
+    flat = np.empty(1 + len(w) * width, dtype=bool)
+    flat[0] = False  # every run starts and ends
+    agree = flat[1:].reshape(len(w), width)
+    np.equal(windows[short, :width], windows[long, :width], out=agree)
+    agree[:, -1] = False
+    edges = np.flatnonzero(flat[1:] != flat[:-1])  # run starts and ends alternate
+    hits, begin = np.divmod(edges[::2], width)
+    size = np.minimum(edges[1::2] - edges[::2], w[hits] - begin)
     run = size >= MIN_PATTERN_LEN
-    hits, begin = np.divmod(edges[::2][run], width + 1)
-    return hits, begin, size[run]
+    return hits[run], begin[run], size[run]
 
 
 def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, bound):
@@ -317,7 +325,8 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
     by_length = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[by_length]
     longest = int(sorted_lengths[-2])
-    windows = sliding_window_view(np.frombuffer(data + bytes(longest), dtype=np.uint8), longest)
+    # a column past the widest row, for _runs' separator
+    windows = sliding_window_view(np.frombuffer(data + bytes(longest), dtype=np.uint8), longest + 1)
     low = int(np.searchsorted(sorted_lengths, MIN_PATTERN_LEN))
     widths, group_starts = np.unique(sorted_lengths[low:], return_index=True)
     group_starts += low
@@ -420,42 +429,31 @@ def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     return PatternSet(dictionary.direction, patterns)
 
 
-def _table_lookup(keys: np.ndarray, space: int, tables: dict[int, np.ndarray]):
-    """(Window, flipped) -> bin, by one gather from a dense intp table of ``space`` entries.
+def _table_lookup(keys: np.ndarray, space: int, tables: dict[int, np.ndarray]) -> np.ndarray:
+    """A dense intp table of ``space`` entries that maps each window key to a bin.
 
-    A window equal to ``keys[i]`` takes bin ``2 * i + 2 + flipped``, of equal
-    keys the first (it is written last); any other window the miss bin
-    ``flipped``. ``tables`` holds one zeroed table per key space; the caller
-    zeroes ``keys`` in it again once the lookup is done.
+    A window equal to ``keys[i]`` takes bin ``2 * i + 2``, of equal keys the
+    first (it is written last); any other window the miss bin 0. The caller
+    adds 1 to the bin of a window whose effect window flips. ``tables`` holds
+    one zeroed table per key space; the caller zeroes ``keys`` in it again
+    once the lookup is done.
     """
     table = tables.get(space)
     if table is None:
         table = tables[space] = np.zeros(space, dtype=np.intp)  # bincount's own bin type
     table[keys[::-1]] = np.arange(2 * len(keys), 0, -2)
-
-    def look(window: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-        bins = table[window]
-        bins += flipped
-        return bins
-
-    return look
+    return table
 
 
-def _sorted_lookup(keys: np.ndarray):
-    """(Window, flipped) -> bin ``2 * i + 2 + flipped`` of each window equal to ``keys[i]``,
-    by binary search of the sorted keys; windows equal to no key are dropped.
+def _sorted_lookup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ranked, bins): the keys sorted, and the bin ``2 * i + 2`` of each, i its index in ``keys``.
 
-    Of equal keys the first wins: the sort is stable and the search leftmost.
+    A window found at ``ranked[j]`` by a leftmost binary search takes bin
+    ``bins[j]``, plus 1 when its effect window flips; of equal keys the first
+    wins, as the sort is stable.
     """
     order = np.argsort(keys, kind="stable")
-    ranked, bins = keys[order], 2 * order + 2
-
-    def look(window: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-        at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
-        hit = ranked[at] == window
-        return bins[at[hit]] + flipped[hit]
-
-    return look
+    return keys[order], 2 * order + 2
 
 
 def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -464,43 +462,61 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
     Pattern i is given by its length and its key among the cause's blocks of
     that length (``_content_keys``); ``index`` must reach the longest
     pattern. Of equal patterns only the first is credited.
-    For each pattern length, the window key of every cause position, a chunk
-    at a time, is looked up in a dense table when the length's key space has
-    at most ``_CHUNK`` entries, and among the sorted pattern keys otherwise.
-    Either maps a window to the bin of its pattern and of whether its effect
-    window flips, so one bincount per chunk counts every overlapping occurrence.
-    Lengths with the same key space share one table, and each resets only the
-    keys it wrote.
+    The patterns are grouped by length with one stable sort. For each length,
+    the window key of every cause position, a chunk at a time, is looked up
+    in a dense table when the length's key space has at most ``_CHUNK``
+    entries, and among the sorted pattern keys otherwise. The table maps
+    every window to the bin of its pattern and of whether its effect window
+    flips; the search keeps only the windows it finds and tests just those
+    for a flip. Either way one bincount per chunk counts every overlapping
+    occurrence, in one (steady, flipped) pair of bins per pattern, and the
+    counts of every length are written back at once. Lengths with the same
+    key space share one table, and each resets only the keys it wrote.
     """
     ids, bound, changed = index.ids, index.bound, index.changed
     n = ids.shape[1]
     n_occ, n_change = np.zeros((2, len(lengths)), dtype=np.int64)
+    if not len(lengths):
+        return n_occ, n_change
     prefix = np.zeros(n, dtype=np.intp)  # flips before each index
     np.cumsum(changed, out=prefix[1:])
     # shared because zeroing a fresh table of up to _CHUNK entries for every
     # length costs more than the lookups: it took a sweep-size ar1 pair from
     # 7.6 to 10.2 ms (2-core VM, Python 3.11.7, numpy 2.4.6)
     tables: dict[int, np.ndarray] = {}
-    for length in sorted(set(lengths.tolist())):
-        members = np.flatnonzero(lengths == length)
+    by_length = np.argsort(lengths, kind="stable")
+    counted = []  # each length's bins past the miss, in by_length order
+    for members in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        length = int(lengths[members[0]])
         k = length.bit_length() - 1
+        level, lag = ids[k], length - (1 << k)  # window key from the blocks at s and s + lag
+        member_keys = keys[members]
         space = int(bound[k]) ** 2  # every window key of this length is below it
-        if space <= _CHUNK:
-            look = _table_lookup(keys[members], space, tables)
+        dense = space <= _CHUNK
+        if dense:
+            table = _table_lookup(member_keys, space, tables)
         else:
-            look = _sorted_lookup(keys[members])
-        counts = np.zeros(2 * len(members) + 2, dtype=np.int64)  # a miss, then (steady, flipped) bins
-        lag = length - (1 << k)  # window key from the blocks at s and s + lag, as in _content_keys
+            ranked, found = _sorted_lookup(member_keys)
+        counts = 0  # a miss, then (steady, flipped) bins
         for first in range(0, n - length + 1, _CHUNK // 8):
             last = min(first + _CHUNK // 8, n - length + 1)
-            window = np.multiply(ids[k, first:last], bound[k], dtype=np.int64)
-            window += ids[k, first + lag : last + lag]
-            flipped = prefix[first + length - 1 : last + length - 1] > prefix[first:last]
-            counts += np.bincount(look(window, flipped), minlength=len(counts))
-        if space <= _CHUNK:
-            tables[space][keys[members]] = 0
-        steady, flips = counts[2:].reshape(-1, 2).T
-        n_occ[members], n_change[members] = steady + flips, flips
+            window = np.multiply(level[first:last], bound[k], dtype=np.int64)
+            window += level[first + lag : last + lag]
+            head, tail = prefix[first:last], prefix[first + length - 1 : last + length - 1]
+            if dense:
+                bins = table[window]
+                bins += tail > head
+            else:
+                at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
+                hit = np.flatnonzero(ranked[at] == window)
+                bins = found[at[hit]]
+                bins += tail[hit] > head[hit]
+            counts = counts + np.bincount(bins, minlength=2 * len(members) + 2)
+        if dense:
+            table[member_keys] = 0
+        counted.append(counts[2:])
+    steady, flips = np.concatenate(counted).reshape(-1, 2).T
+    n_occ[by_length], n_change[by_length] = steady + flips, flips
     return n_occ, n_change
 
 

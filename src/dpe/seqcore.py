@@ -132,8 +132,9 @@ class RealSeries:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(not math.isfinite(v) for v in self.values):
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
+        if not all(map(math.isfinite, values)):
             raise ValueError("real series must contain finite values only")
 
     def __len__(self) -> int:

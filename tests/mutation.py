@@ -81,10 +81,38 @@ MUTANTS = (
     ),
     Mutant(
         "counting-table-kept", "src/dpe/core.py",
-        "tables[space][keys[members]] = 0",
+        "table[member_keys] = 0",
         "pass",
         "lengths of one key space share a table, so each must clear the keys it wrote",
         ("tests/test_kernels.py::TestCountingKernel", "tests/test_kernels.py::TestLookupSides"),
+    ),
+    Mutant(
+        "sorted-flip-window", "src/dpe/core.py",
+        "bins += tail[hit] > head[hit]",
+        "bins += tail[hit] >= head[hit]",
+        "a window the search finds counts as flipped only when the effect changes inside it",
+        ("tests/test_kernels.py::TestLookupSides",),
+    ),
+    Mutant(
+        "level-exponent-off-by-one", "src/dpe/core.py",
+        "k = np.frexp(lengths)[1].astype(np.int64) - 1",
+        "k = np.frexp(lengths)[1].astype(np.int64) - 2",
+        "a window of 2**k to 2**(k+1) - 1 symbols is keyed by the two 2**k-blocks that cover it",
+        ("tests/test_kernels.py::TestContentKeys",),
+    ),
+    Mutant(
+        "separator-kept", "src/dpe/core.py",
+        "agree[:, -1] = False",
+        "pass",
+        "each row ends at a cleared column, so no run crosses into the next row",
+        ("tests/test_kernels.py::TestRuns",),
+    ),
+    Mutant(
+        "run-not-clipped", "src/dpe/core.py",
+        "size = np.minimum(edges[1::2] - edges[::2], w[hits] - begin)",
+        "size = edges[1::2] - edges[::2]",
+        "a row compares only its own width: agreement past it belongs to no pattern",
+        ("tests/test_kernels.py::TestRuns",),
     ),
     Mutant(
         "weight-window-count", "src/dpe/core.py",
@@ -127,6 +155,13 @@ MUTANTS = (
         "pass",
         "two touching replaced occurrences make one X X pair the patched counts must gain",
         ("tests/test_baselines.py::TestOracles", "tests/test_baselines.py::TestEtcUpdatePaths"),
+    ),
+    Mutant(
+        "pair-halves-swapped", "src/dpe/baselines.py",
+        "halves[:, 0], halves[:, 1] = pairs >> 32, pairs & 0xFFFFFFFF",
+        "halves[:, 1], halves[:, 0] = pairs >> 32, pairs & 0xFFFFFFFF",
+        "a recounted pair keeps its order: (a, b) and (b, a) are different pairs",
+        ("tests/test_baselines.py::TestPairCounts",),
     ),
     Mutant(
         "lz76-resume-point", "src/dpe/baselines.py",

@@ -9,7 +9,9 @@ index list, giving plain tuples back. The random-stream oracle draws one
 number per call with Python integers, as the derivation in ``dpe.rng`` reads.
 """
 
+import heapq
 import math
+import operator
 from collections import Counter
 from pathlib import Path
 
@@ -184,6 +186,14 @@ def naive_etc(s):
         steps += 1
     normalized = steps / (len(s) - 1) if len(s) > 1 else 0.0
     return ComplexityValue(steps, normalized)
+
+
+def naive_pair_counts(text):
+    """(Counter of overlapping adjacent pairs, heap of (-count, pair)), one 2-character string per pair."""
+    counts = Counter(map(operator.add, text, text[1:]))
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
+    return counts, heap
 
 
 def naive_etc_tail(s):

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import pytest
@@ -15,7 +16,14 @@ from dpe.baselines import (
 )
 from dpe.errors import InputError
 from dpe.seqcore import Direction, SymbolSequence
-from oracles import naive_baseline, naive_etc, naive_etc_tail, naive_joint, naive_lz76
+from oracles import (
+    naive_baseline,
+    naive_etc,
+    naive_etc_tail,
+    naive_joint,
+    naive_lz76,
+    naive_pair_counts,
+)
 
 
 def seq(text):
@@ -73,6 +81,41 @@ class TestOracles:
         x, y = SymbolSequence(xs[:n], 2), SymbolSequence(ys[:n], 2)
         # scores, verdict and the degenerate flag
         assert baseline_verdicts((method,), x, y) == {method: naive_baseline(method, x, y)}
+
+
+# both ends of the byte range, the surrogates that fresh ETC symbols pass on
+# long inputs, and the code points either side of them and of the BMP's end
+CODE_POINTS = (0x0000, 0x00FF, 0x0100, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0x10000)
+
+
+@st.composite
+def code_point_texts(draw):
+    """Texts over a few of CODE_POINTS, so that pairs repeat and counts tie."""
+    palette = draw(st.lists(st.sampled_from(CODE_POINTS), min_size=1, max_size=4, unique=True))
+    return "".join(map(chr, draw(st.lists(st.sampled_from(palette), max_size=80))))
+
+
+class TestPairCounts:
+    """The recount of one sort over the code points against the per-pair Counter."""
+
+    @settings(max_examples=300)
+    @given(code_point_texts())
+    def test_matches_counter_recount(self, text):
+        counts, heap = baselines._pair_counts(text)
+        want_counts, want_heap = naive_pair_counts(text)
+        assert counts == want_counts
+        assert sorted(heap) == sorted(want_heap)
+        assert heap[:1] == want_heap[:1]  # the most frequent pair, ties to the smallest
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+
+    def test_heap_top_breaks_ties_by_code_point(self):
+        # (U+10000, U+0000) and (U+D800, U+00FF) occur twice each: the tie goes
+        # to the smaller code point, U+D800, though it comes second in the text
+        text = "".join(map(chr, (0x10000, 0x0, 0x10000, 0x0, 0xD800, 0xFF, 0xD800, 0xFF)))
+        counts, heap = baselines._pair_counts(text)
+        assert heapq.heappop(heap) == (-2, "\ud800\xff")
+        assert heapq.heappop(heap) == (-2, "\U00010000\x00")
+        assert counts["\x00\ud800"] == counts["\xff\ud800"] == 1
 
 
 def etc_paths(monkeypatch):

@@ -21,6 +21,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
+from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import (
     find_response,
@@ -303,6 +304,101 @@ class TestExtractionRows:
     @given(crowded_segment_lists())
     def test_crowded_widths_match_ordered_oracle(self, segments):
         check_every_budget(segments)
+
+
+def rank_level(bound):
+    """The first level whose ids are ranks, not packed half-block ids, or None."""
+    return next((k for k in range(1, len(bound)) if bound[k] != bound[k - 1] ** 2), None)
+
+
+class TestContentKeys:
+    """Keys of windows of one length are equal exactly when their contents are."""
+
+    @pytest.mark.parametrize("alphabet, ranked_from", ((2, 5), (4, 4), (256, 2)))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_exactly_when_contents_are(self, alphabet, ranked_from, seed):
+        # motifs repeat, so long windows have equal contents; 2**k - 1, 2**k and
+        # 2**k + 1 symbols at every level up to one past the first rank-keyed one
+        lengths = sorted({n for k in range(ranked_from + 2) for n in (2**k - 1, 2**k, 2**k + 1) if n})
+        cause = motif_cause(alphabet, lengths[-1], 400, seed)
+        ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), lengths[-1])
+        assert rank_level(bound) == ranked_from
+        # every window of every length in one call, so one call mixes levels
+        width = np.repeat(lengths, [len(cause) - n + 1 for n in lengths])
+        start = np.concatenate([np.arange(len(cause) - n + 1) for n in lengths])
+        keys = core._content_keys(ids, bound, start, width).tolist()
+        for n in lengths:
+            content_of = {}
+            key_of = {}
+            for s, w, key in zip(start.tolist(), width.tolist(), keys):
+                if w == n:
+                    assert content_of.setdefault(key, cause[s : s + n]) == cause[s : s + n]
+                    assert key_of.setdefault(cause[s : s + n], key) == key
+            assert 1 < len(key_of) < len(cause) - n + 1  # some contents repeat, some differ
+
+
+def runs_by_row(windows, short, long, w):
+    """(row, begin, size) of each maximal agreement run of length >= 2, row by row."""
+    out = []
+    for r, (a, b, width) in enumerate(zip(short.tolist(), long.tolist(), w.tolist())):
+        run = 0
+        for t in range(width + 1):
+            if t < width and windows[a, t] == windows[b, t]:
+                run += 1
+                continue
+            if run >= core.MIN_PATTERN_LEN:
+                out.append((r, t - run, run))
+            run = 0
+    return out
+
+
+def runs(windows, short, long, w):
+    return [tuple(map(int, row)) for row in zip(*core._runs(windows, short, long, w))]
+
+
+@st.composite
+def run_chunks(draw):
+    """Data from a small palette and rows of mixed widths from 2 up, in ascending order,
+    each comparing two windows of the data; the window view has a column past the widest."""
+    _, palette = draw(palettes(most=2))
+    w = np.array(sorted(draw(st.lists(st.integers(2, 12), min_size=1, max_size=10))), dtype=np.int64)
+    data = draw(words(palette, int(w[-1]) + 2, 60))
+    windows = sliding_window_view(np.frombuffer(data, dtype=np.uint8), int(w[-1]) + 1)
+    place = st.integers(0, len(windows) - 1)
+    short, long = (np.array(draw(st.lists(place, min_size=len(w), max_size=len(w)))) for _ in "ab")
+    return windows, short, long, w
+
+
+class TestRuns:
+    """One scan of the rows laid end to end, clipped per row, against a per-row scan."""
+
+    @given(run_chunks())
+    def test_matches_per_row_scan(self, chunk):
+        assert runs(*chunk) == runs_by_row(*chunk)
+
+    def test_runs_at_row_ends(self):
+        # rows of width 2, 2, 4 and 6: rows 0-2 compare two windows that agree in
+        # every column, the separator's too, so each run reaches its row's own
+        # width and goes on; row 3 agrees from column 4 to the widest row's
+        # last column and on into the separator
+        data = np.frombuffer(bytes([0, 1] * 4 + [0] + [1] * 4 + [0] * 10), dtype=np.uint8)
+        windows = sliding_window_view(data, 7)
+        short, long, w = np.array([0, 0, 0, 16]), np.array([2, 2, 2, 9]), np.array([2, 2, 4, 6])
+        agree = (windows[short] == windows[long]).tolist()
+        assert agree == [[True] * 7] * 3 + [[False] * 4 + [True] * 3]
+        assert runs(windows, short, long, w) == [(0, 0, 2), (1, 0, 2), (2, 0, 4), (3, 4, 2)]
+        assert runs_by_row(windows, short, long, w) == runs(windows, short, long, w)
+
+    @given(crowded_segment_lists())
+    def test_every_chunk_of_extraction_matches_per_row_scan(self, segments):
+        # the chunks extraction compares at every budget: they mix widths when it allows
+        want = naive_pattern_order(segments)
+        for chunk in BUDGETS:
+            with mock.patch.object(core, "_CHUNK", chunk), \
+                    mock.patch.object(core, "_runs", wraps=core._runs) as compared:
+                assert extracted(segments) == want
+            for call in compared.call_args_list:
+                assert runs(*call.args) == runs_by_row(*call.args)
 
 
 class TestDictionaryOrder:

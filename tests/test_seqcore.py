@@ -1,9 +1,11 @@
 import csv
+import math
 import re
 import sys
 import warnings
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -99,12 +101,45 @@ class TestSymbolSequenceContract:
         assert SymbolSequence((0, 9, 3), 10).text() == "093"
 
 
+def converted_series(values):
+    """The series' values, converted and checked one by one: the exception a bad value raises."""
+    values = tuple(float(v) for v in values)
+    if any(not math.isfinite(v) for v in values):
+        raise ValueError("real series must contain finite values only")
+    return values
+
+
+BAD_VALUES = {
+    "nan": (1.0, float("nan")),
+    "inf": (float("inf"),),
+    "-inf after finite": (0.5, 2, -math.inf),
+    "text": (1.0, "one"),
+    "None": (1.0, None),
+    "complex": (1j,),
+    "nested": ((1.0,),),
+    "not iterable": 3.0,
+}
+
+
 class TestRealSeries:
     def test_rejects_nan_and_inf(self):
         with pytest.raises(ValueError):
             RealSeries((1.0, float("nan")))
         with pytest.raises(ValueError):
             RealSeries((float("inf"),))
+
+    @pytest.mark.parametrize("values", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    def test_bad_values_raise_as_a_one_by_one_check(self, values):
+        with pytest.raises(Exception) as want:
+            converted_series(values)
+        with pytest.raises(type(want.value)) as got:
+            RealSeries(values)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_values_become_floats(self):
+        values = RealSeries((1, True, "2.5", np.float32(0.25), np.int64(7))).values
+        assert values == (1.0, 1.0, 2.5, 0.25, 7.0)
+        assert all(type(v) is float for v in values)
 
 
 class TestBinarizeEquiwidth:
