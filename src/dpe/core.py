@@ -38,6 +38,10 @@ MIN_PATTERN_LEN = 2
 #: compares ``_CHUNK // (w + 16)`` rows, w being the widest row's width; runs
 #: are merged ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8``
 #: windows, in a dense table of at most ``_CHUNK`` entries when the key space fits.
+#: The budget also bounds counting's start filter: it reads ``_CHUNK // 8`` block
+#: ids at a time, marks left ids in a table of at most ``_CHUNK`` entries, and
+#: runs only on a level with more than ``_CHUNK // 8`` blocks and an id bound
+#: of at most ``_CHUNK``.
 _CHUNK = 1 << 16
 
 LABEL_XY = "X->Y"
@@ -456,22 +460,52 @@ def _sorted_lookup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[order], 2 * order + 2
 
 
+def _level_starts(level: np.ndarray, left: np.ndarray, bound: int) -> np.ndarray | None:
+    """The positions s, ascending, whose block ``level[s]`` is one of the ids
+    ``left``, all of them below ``bound``; None as soon as half of the
+    positions qualify.
+
+    The ids are marked in a bool table of ``bound`` entries, and ``level`` is
+    read ``_CHUNK // 8`` ids at a time.
+    """
+    m = len(level)
+    mark = np.zeros(bound, dtype=bool)
+    mark[left] = True
+    found, total = [], 0
+    for first in range(0, m, _CHUNK // 8):
+        hit = np.flatnonzero(mark[level[first : first + _CHUNK // 8]])
+        total += len(hit)
+        # past about half, the starts cost more than the full scan: on a 30k
+        # 4-ary cause's level 2 (four lengths) 1.31 against 1.19 ms at a share
+        # of 0.50, 0.91 against 1.11 ms at 0.375 (2-core VM, numpy 2.4.6)
+        if 2 * total >= m:
+            return None
+        found.append(hit + first)
+    return np.concatenate(found)
+
+
 def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
     """(occurrences, occurrences whose effect window flips) of each distinct pattern.
 
     Pattern i is given by its length and its key among the cause's blocks of
     that length (``_content_keys``); ``index`` must reach the longest
     pattern. Of equal patterns only the first is credited.
-    The patterns are grouped by length with one stable sort. For each length,
-    the window key of every cause position, a chunk at a time, is looked up
-    in a dense table when the length's key space has at most ``_CHUNK``
-    entries, and among the sorted pattern keys otherwise. The table maps
-    every window to the bin of its pattern and of whether its effect window
-    flips; the search keeps only the windows it finds and tests just those
-    for a flip. Either way one bincount per chunk counts every overlapping
-    occurrence, in one (steady, flipped) pair of bins per pattern, and the
-    counts of every length are written back at once. Lengths with the same
-    key space share one table, and each resets only the keys it wrote.
+    The patterns are grouped by length with one stable sort, so the lengths of
+    a level k (``2**k <= L < 2**(k+1)``) come together. A window can match
+    only where its left ``2**k``-block is the left block of a pattern of its
+    level, so when the level's blocks fill more than one chunk and its id
+    bound fits ``_CHUNK``, its lengths are counted only at those starts
+    (``_level_starts``), unless half of the positions are starts; otherwise
+    every cause position is read, a chunk at a time. Each window key is
+    looked up in a dense table when the length's key space has at most
+    ``_CHUNK`` entries, and among the sorted pattern keys otherwise. The
+    table maps every window to the bin of its pattern and of whether its
+    effect window flips; the search keeps only the windows it finds and
+    tests just those for a flip. Either way one bincount per chunk counts
+    every overlapping occurrence, in one (steady, flipped) pair of bins per
+    pattern, and the counts of every length are written back at once.
+    Lengths with the same key space share one table, and each resets only
+    the keys it wrote.
     """
     ids, bound, changed = index.ids, index.bound, index.changed
     n = ids.shape[1]
@@ -485,11 +519,19 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
     # 7.6 to 10.2 ms (2-core VM, Python 3.11.7, numpy 2.4.6)
     tables: dict[int, np.ndarray] = {}
     by_length = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[by_length]
     counted = []  # each length's bins past the miss, in by_length order
-    for members in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+    k_starts = -1  # the level whose starts are kept, freed before the next
+    for members in np.split(by_length, np.flatnonzero(np.diff(sorted_lengths)) + 1):
         length = int(lengths[members[0]])
         k = length.bit_length() - 1
         level, lag = ids[k], length - (1 << k)  # window key from the blocks at s and s + lag
+        if k != k_starts:
+            k_starts, starts = k, None
+            m = n - (1 << k) + 1  # blocks of this level
+            if m > _CHUNK // 8 and bound[k] <= _CHUNK:
+                lo, hi = np.searchsorted(sorted_lengths, (1 << k, 2 << k))
+                starts = _level_starts(level[:m], keys[by_length[lo:hi]] // bound[k], int(bound[k]))
         member_keys = keys[members]
         space = int(bound[k]) ** 2  # every window key of this length is below it
         dense = space <= _CHUNK
@@ -497,12 +539,19 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
             table = _table_lookup(member_keys, space, tables)
         else:
             ranked, found = _sorted_lookup(member_keys)
-        counts = 0  # a miss, then (steady, flipped) bins
-        for first in range(0, n - length + 1, _CHUNK // 8):
-            last = min(first + _CHUNK // 8, n - length + 1)
-            window = np.multiply(level[first:last], bound[k], dtype=np.int64)
-            window += level[first + lag : last + lag]
-            head, tail = prefix[first:last], prefix[first + length - 1 : last + length - 1]
+        counts = np.zeros(2 * len(members) + 2, dtype=np.intp)  # a miss, then (steady, flipped) bins
+        total = n - length + 1 if starts is None else int(np.searchsorted(starts, n - length, side="right"))
+        for first in range(0, total, _CHUNK // 8):
+            last = min(first + _CHUNK // 8, total)
+            if starts is None:
+                window = np.multiply(level[first:last], bound[k], dtype=np.int64)
+                window += level[first + lag : last + lag]
+                head, tail = prefix[first:last], prefix[first + length - 1 : last + length - 1]
+            else:
+                s = starts[first:last]
+                window = np.multiply(level[s], bound[k], dtype=np.int64)
+                window += level[s + lag]
+                head, tail = prefix[s], prefix[s + (length - 1)]
             if dense:
                 bins = table[window]
                 bins += tail > head
@@ -511,7 +560,7 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
                 hit = np.flatnonzero(ranked[at] == window)
                 bins = found[at[hit]]
                 bins += tail[hit] > head[hit]
-            counts = counts + np.bincount(bins, minlength=2 * len(members) + 2)
+            counts += np.bincount(bins, minlength=len(counts))
         if dense:
             table[member_keys] = 0
         counted.append(counts[2:])

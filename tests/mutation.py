@@ -94,6 +94,27 @@ MUTANTS = (
         ("tests/test_kernels.py::TestLookupSides",),
     ),
     Mutant(
+        "start-chunk-offset", "src/dpe/core.py",
+        "found.append(hit + first)",
+        "found.append(hit)",
+        "a start found in a later chunk of the filter pass is that chunk's first position plus its offset",
+        ("tests/test_kernels.py::TestStartFilter",),
+    ),
+    Mutant(
+        "start-cut-side", "src/dpe/core.py",
+        'np.searchsorted(starts, n - length, side="right")',
+        'np.searchsorted(starts, n - length, side="left")',
+        "a window of length L may start at n - L, so a pattern ending at the cause's last symbol counts there",
+        ("tests/test_kernels.py::TestStartFilter",),
+    ),
+    Mutant(
+        "start-left-id-remainder", "src/dpe/core.py",
+        "keys[by_length[lo:hi]] // bound[k]",
+        "keys[by_length[lo:hi]] % bound[k]",
+        "a key's quotient by the level's bound is its left block's id; the remainder is the right block's",
+        ("tests/test_kernels.py::TestStartFilter",),
+    ),
+    Mutant(
         "level-exponent-off-by-one", "src/dpe/core.py",
         "k = np.frexp(lengths)[1].astype(np.int64) - 1",
         "k = np.frexp(lengths)[1].astype(np.int64) - 2",

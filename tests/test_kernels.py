@@ -7,7 +7,10 @@ in different chunks. Palettes of one to three symbols drawn from alphabets of
 reach pattern lengths on both sides of the limit where block ids stop being
 packed integers and become ranks (32 symbols for 2, 16 for 4, 4 for 256).
 Counting looks windows up in a dense table when a length's key space fits
-the chunk budget and by binary search otherwise; the content dedupe packs
+the chunk budget and by binary search otherwise, and reads a level's windows
+only where its patterns' left blocks start once the level fills more than
+one chunk and its id bound fits the budget, unless half the positions are
+starts; the content dedupe packs
 its sort keys into one int64 up to 63 bits and lexsorts beyond. Both sides
 of each are checked.
 """
@@ -665,6 +668,152 @@ class TestLookupSides:
             assert all(c.args[1] <= chunk for c in table.call_args_list)
 
 
+def start_filter():
+    """Wrap the start filter; each call is recorded as (blocks scanned, bound, starts or None)."""
+    calls = []
+    original = core._level_starts
+
+    def record(level, left, bound):
+        starts = original(level, left, bound)
+        calls.append((len(level), bound, starts))
+        return starts
+
+    return mock.patch.object(core, "_level_starts", record), calls
+
+
+def level_starts(cause, patterns, m):
+    """The positions s < m of the cause at which some pattern's left block
+    starts, the blocks being of 2**k symbols, m = len(cause) - 2**k + 1."""
+    size = len(cause) - m + 1
+    left = {p[:size] for p in patterns if size <= len(p) < 2 * size}
+    return [s for s in range(m) if cause[s : s + size] in left]
+
+
+def rare_cause(n, rare, seed, tail=True):
+    """n binary symbols, 1 at about every ``rare``-th place and never twice in
+    a row, but at the end when ``tail``: the blocks that open with 1 start
+    rarely, and with ``tail`` every tail of two or more symbols occurs only
+    there."""
+    rng = random.Random(seed)
+    body = bytes(rng.random() < 1 / rare for _ in range(n - 3)).replace(b"\x01\x01", b"\x01\x00")
+    return body + (b"\x00\x01\x01" if tail else b"\x00\x01\x00")
+
+
+def opening_patterns(cause):
+    """Patterns of lengths 2..7 that open with the cause's rare symbol 1, each
+    at one of its first places in the cause."""
+    opens = [s for s in range(len(cause) - 7) if cause[s] == 1][:6]
+    return [cause[s : s + length] for s, length in zip(opens, (2, 3, 4, 5, 6, 7))]
+
+
+def rare_patterns(cause):
+    """The opening patterns, tails of the cause, whose only occurrences end at
+    its last symbol, and copies of two patterns."""
+    n = len(cause)
+    patterns = opening_patterns(cause)
+    tails = [cause[n - length :] for length in (2, 3, 4, 5)]
+    assert all(cause.find(t) == n - len(t) for t in tails)
+    return patterns + tails + patterns[:2]
+
+
+class TestStartFilter:
+    """Each side of the start filter's rules, at every chunk budget: the gate
+    that takes a cause of one chunk (of ``_CHUNK // 8`` blocks) through the
+    full scan, the filtered count, whose starts are found in a mark table of
+    the level's id bound, the half rule that falls back to the full scan,
+    and the full scan of a level whose id bound exceeds the budget. Binary
+    causes keep the bound of levels 1 and 2 (4 and 16) within small budgets."""
+
+    def check(self, cause, effect, patterns, chunk):
+        """Counts against the oracles; the start filter's calls, each checked
+        against the positions where a pattern's left block starts."""
+        recorder, calls = start_filter()
+        with mock.patch.object(core, "_CHUNK", chunk), recorder:
+            n_occ, n_change = occurrences(cause, effect, patterns)
+        got = list(zip(n_occ.tolist(), n_change.tolist()))
+        assert got == first_copy_responses(patterns, cause, effect)
+        for p, (occ, change) in zip(patterns, got):
+            if occ:
+                assert (change, occ - change) == naive_response(tuple(p), cause, effect)
+        for m, bound, starts in calls:
+            assert m > chunk // 8 and bound <= chunk
+            if starts is not None:
+                assert starts.tolist() == level_starts(cause, patterns, m)
+        return calls
+
+    @pytest.mark.parametrize("chunk", BUDGETS)
+    def test_cause_of_one_chunk_takes_the_full_scan(self, chunk):
+        # lengths 2 and 3 read blocks of 2 symbols: n - 1 of them, one chunk at n = chunk // 8 + 1
+        for extra, filtered in ((0, False), (1, True)):
+            n = chunk // 8 + 1 + extra
+            cause = rare_cause(n + 3, rare=4, seed=n)[3:]
+            effect = flip_effect(n, 0.3, seed=chunk)
+            patterns = [cause[s : s + length] for length in range(2, min(n, 3) + 1) for s in (0, n - length)]
+            calls = self.check(cause, effect, patterns, chunk)
+            assert [m for m, _, _ in calls] == ([n - 1] if filtered else [])
+
+    @pytest.mark.parametrize("chunk", BUDGETS)
+    def test_filtered_levels_match_the_oracles(self, chunk):
+        # three chunks of blocks; the blocks that open with 1 are rare
+        cause = rare_cause(3 * (chunk // 8) + 40, rare=6, seed=chunk)
+        effect = flip_effect(len(cause), 0.2, seed=chunk)
+        calls = self.check(cause, effect, rare_patterns(cause), chunk)
+        # the level's packed bound is 2 ** 2 ** k: marked once the budget holds it
+        want = [(len(cause) - (1 << k) + 1, 2 ** 2**k) for k in (1, 2) if 2 ** 2**k <= chunk]
+        assert [(m, bound) for m, bound, _ in calls] == want
+        assert all(starts is not None and 0 < len(starts) < m / 2 for m, _, starts in calls)
+
+    @pytest.mark.parametrize("chunk", BUDGETS)
+    def test_half_of_the_starts_fall_back_to_the_full_scan(self, chunk):
+        n = 3 * (chunk // 8) + 40
+        cause = bytes(random.Random(chunk).randrange(2) for _ in range(n - 3)) + b"\x00\x01\x01"
+        effect = flip_effect(n, 0.3, seed=n)
+        # lengths 2 and 3 open with every 2-block; length 4 only with 0 0 1 1
+        patterns = [bytes(p) for p in ((0, 0), (0, 1, 0), (1, 0), (1, 1, 1))]
+        patterns = [p for p in patterns if p in cause] + [cause[-3:], b"\x00\x00\x01\x01", cause[-2:]]
+        calls = self.check(cause, effect, patterns, chunk)
+        assert [(m, starts is None) for m, _, starts in calls][:1] == [(n - 1, True)]
+
+    @pytest.mark.parametrize("chunk", BUDGETS)
+    def test_rank_keyed_level_beyond_the_budget_takes_the_full_scan(self, chunk):
+        # 256-ary ids rank from level 2 on, and n random symbols hold about n
+        # distinct 4-blocks, more than the budget's entries
+        rng = random.Random(chunk)
+        n = chunk + 100
+        cause = bytes([255]) + bytes(rng.randrange(256) for _ in range(n - 1))
+        effect = flip_effect(n, 0.2, seed=chunk)
+        patterns = [cause[s : s + length] for s, length in ((n // 3, 4), (n // 2, 6), (2 * n // 3, 7))]
+        patterns += [cause[-5:], cause[-4:], patterns[0]]
+        ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), 7)
+        assert n - 3 > chunk // 8 and bound[2] > chunk
+        assert self.check(cause, effect, patterns, chunk) == []
+
+    @pytest.mark.parametrize("chunk", BUDGETS)
+    def test_level_where_no_start_qualifies(self, chunk):
+        cause = rare_cause(3 * (chunk // 8) + 40, rare=6, seed=chunk + 1, tail=False)
+        effect = flip_effect(len(cause), 0.2, seed=chunk)
+        present = opening_patterns(cause)
+        absent = [b"\x01\x01", b"\x01\x01\x00"]  # no 2-block is 1 1
+        assert b"\x01\x01" not in cause
+        # packed ids are contents: the keys of absent patterns come from a longer text
+        text = cause + b"".join(absent)
+        at = np.array([cause.find(p) for p in present] + [len(cause), len(cause) + 2], dtype=np.int64)
+        lengths = np.array([len(p) for p in present + absent], dtype=np.int64)
+        ids, bound = core._block_ids(np.frombuffer(text, dtype=np.uint8), 7)
+        keys = core._content_keys(ids, bound, at, lengths)
+        ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), 7)
+        index = core._DirectionIndex(ids, bound, core._changes(effect), cause, at)
+        recorder, calls = start_filter()
+        with mock.patch.object(core, "_CHUNK", chunk), recorder:
+            n_occ, n_change = core._occurrences(lengths[6:], keys[6:], index)
+            assert n_occ.tolist() == n_change.tolist() == [0, 0]
+            ((_, _, starts),) = calls
+            assert starts is not None and len(starts) == 0
+            n_occ, n_change = core._occurrences(lengths, keys, index)
+        want = [find_response(p, cause, effect) for p in present] + [(0, 0)] * 2
+        assert list(zip(n_occ.tolist(), n_change.tolist())) == want
+
+
 class TestScoreDirection:
     @given(sequence_pairs(max_size=70), CHUNKS)
     def test_patterns_and_counts_match_oracles(self, pair, chunk):
@@ -725,10 +874,42 @@ def test_many_short_segments_stay_within_a_memory_cap(gaps, n_patterns, digest):
     assert peak < 4 * 1024 * 1024
 
 
+def genome_pair(n, rate, seed):
+    """A uniform 4-ary reference of n symbols and a candidate with a share
+    ``rate`` of its symbols changed, as the genomic benchmark builds them."""
+    rng = random.Random(seed)
+    reference = bytes(rng.randrange(4) for _ in range(n))
+    candidate = bytearray(reference)
+    for pos in rng.sample(range(n), round(n * rate)):
+        candidate[pos] = rng.choice([s for s in range(4) if s != candidate[pos]])
+    return SymbolSequence(reference, 4), SymbolSequence(bytes(candidate), 4)
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_genome_scale_scores_equal_with_and_without_the_start_filter(seed):
+    # a budget of 8 * n symbols reads the whole cause in one chunk, so no level is filtered
+    x, y = genome_pair(30_000, 0.001, seed)
+    for cause, effect in ((x, y), (y, x)):
+        recorder, calls = start_filter()
+        with recorder:
+            filtered = score_direction(cause, effect)
+        assert any(starts is not None for *_, starts in calls)
+        recorder, calls = start_filter()
+        with mock.patch.object(core, "_CHUNK", 8 * len(cause)), recorder:
+            full = score_direction(cause, effect)
+        assert calls == []
+        fields = ("lengths", "starts", "n_occurrences", "n_changes", "h_bar")
+        assert [getattr(filtered, f) for f in fields] == [getattr(full, f) for f in fields]
+        assert filtered.has_evidence
+
+
 def test_genome_scale_counting_stays_within_a_memory_cap():
     # 4-ary lengths 2..7 take tables of up to 2**16 intp entries (512 KB)
-    # and lengths 8 and 12 binary search; with the id table (4 levels of
-    # 30k int32) and the chunk scratch that peaks near 1.4 MB
+    # and lengths 8 and 12 binary search. Lengths 2 and 3 open with nearly
+    # every 2-block, so they take the full scan (half the positions are
+    # starts); lengths 5..12 are counted at their starts, fewer than half the
+    # positions. With the id table (4 levels of 30k int32) and the chunk
+    # scratch that peaks near 1.45 MB
     rng = random.Random(3)
     n = 30_000
     cause = bytes(rng.randrange(4) for _ in range(n))
