@@ -14,11 +14,8 @@ integer counts enter the formulas; normalized values are returned in
 
 from __future__ import annotations
 
-import heapq
 import math
-import operator
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,74 +77,26 @@ def lz76_complexity(s: SymbolSequence) -> ComplexityValue:
     return ComplexityValue(phrases, normalized)
 
 
-# An ETC step that replaces at least 1/_RECOUNT_SHARE of the text recounts
-# every pair in one C-level pass; a smaller one patches the counts around each
-# replaced occurrence. Both give exact counts. Patching one occurrence costs
-# about as much as recounting 8-15 symbols (binary and 4-ary text, 1k-30k
-# symbols), which puts the split near 1/12.
-_RECOUNT_SHARE = 12
-
 # ETC holds symbol v as code point v and the fresh symbol of step t as
 # max + t. A length-n input takes at most n - 1 steps, so it needs
 # max + n - 1 <= _LAST_CODE_POINT.
 _LAST_CODE_POINT = sys.maxunicode
 
 
-def _pair_counts(text: str) -> tuple[Counter, list[tuple[int, str]]]:
-    """Overlapping counts of adjacent pairs, and a heap of (-count, pair).
+def _top_pair(text: str) -> tuple[int, str]:
+    """The most frequent overlapping pair of adjacent code points, with its count.
 
-    The heap's top is the most frequent pair, ties going to the smallest.
-    The pairs are counted by one sort of ``left << 32 | right`` over the code
-    points, so the dict and the heap are built from the distinct pairs only.
-    Fresh symbols pass the surrogates U+D800-U+DFFF on long inputs, which
-    UTF-32 encodes only with ``surrogatepass``.
+    Each pair becomes the integer ``left << 32 | right`` and one sort counts
+    them all. The sort leaves the pairs in code-point order and ``argmax``
+    takes the first maximum, so ties go to the smallest pair. Fresh symbols
+    pass the surrogates U+D800-U+DFFF on long inputs, which UTF-32 encodes
+    only with ``surrogatepass``.
     """
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
     pairs, counts = np.unique(codes[:-1] << 32 | codes[1:], return_counts=True)
-    halves = np.empty((len(pairs), 2), dtype="<u4")
-    halves[:, 0], halves[:, 1] = pairs >> 32, pairs & 0xFFFFFFFF
-    distinct = halves.tobytes().decode("utf-32-le", "surrogatepass")
-    distinct = list(map(operator.add, distinct[::2], distinct[1::2]))
-    heap = list(zip((-counts).tolist(), distinct))
-    heapq.heapify(heap)
-    return Counter(dict(zip(distinct, counts.tolist()))), heap
-
-
-def _patch_pair_counts(
-    counts: Counter, heap: list[tuple[int, str]], text: str, pair: str, fresh: str
-) -> None:
-    """Update the pair counts of ``text`` to those of ``text.replace(pair, fresh)``.
-
-    Each replaced occurrence ``a b`` with neighbours ``L`` and ``R`` loses the
-    pairs ``L a``, ``a b`` and ``b R`` and gains ``L X`` and ``X R``. Where
-    two occurrences touch, the pair between them (``b a``) is lost once and
-    ``X X`` is gained once. Gained pairs are new, so each is pushed onto the
-    heap once with its final count; lost counts leave stale entries that the
-    caller skips.
-    """
-    a, b = pair
-    gained = []
-    touching = False  # does this occurrence start where the previous one ended?
-    i = text.find(pair)
-    while i != -1:
-        nxt = text.find(pair, i + 2)
-        if touching:
-            gained.append(fresh + fresh)
-        elif i:
-            left = text[i - 1]
-            counts[left + a] -= 1
-            gained.append(left + fresh)
-        if i + 2 < len(text):
-            right = text[i + 2]
-            counts[b + right] -= 1
-            touching = nxt == i + 2
-            if not touching:
-                gained.append(fresh + right)
-        i = nxt
-    counts[pair] = 0
-    counts.update(gained)
-    for new_pair in set(gained):
-        heapq.heappush(heap, (-counts[new_pair], new_pair))
+    top = counts.argmax()
+    pair = int(pairs[top])
+    return int(counts[top]), chr(pair >> 32) + chr(pair & 0xFFFFFFFF)
 
 
 def etc_complexity(s: SymbolSequence) -> ComplexityValue:
@@ -159,10 +108,9 @@ def etc_complexity(s: SymbolSequence) -> ComplexityValue:
     lexicographically smallest pair. Normalized by (len - 1).
 
     The sequence is held as a string with one code point per symbol, so
-    ``str.replace`` performs the substitution. Pair counts are kept up to
-    date from step to step (as in Re-Pair, Larsson and Moffat 2000) and the
-    most frequent pair comes from a lazy heap; code-point order is symbol
-    order, so the tie-break is unchanged.
+    ``str.replace`` performs the substitution, and every step recounts the
+    pairs with ``_top_pair``; code-point order is symbol order, so the
+    tie-break is unchanged.
 
     Once the most frequent pair occurs only once and the text is not
     constant, the remaining step count is known: ``len(text) - 1``. Every
@@ -182,32 +130,17 @@ def etc_complexity(s: SymbolSequence) -> ComplexityValue:
             f"this alphabet, got {len(data)}"
         )
     text = data.decode("latin-1")  # byte v -> code point v
-    counts, heap = _pair_counts(text)
     steps = 0
     while len(text) > 1:
-        while True:
-            neg_count, pair = heap[0]
-            count = counts[pair]
-            if count == -neg_count:
-                break
-            if count:  # the count fell since this entry was pushed
-                heapq.heapreplace(heap, (-count, pair))
-            else:
-                heapq.heappop(heap)
+        count, pair = _top_pair(text)
         if count == len(text) - 1 and pair[0] == pair[1]:
             break  # one pair fills every position: the text is constant
         if count == 1:  # every pair is unique from here on (see above)
             steps += len(text) - 1
             break
-        symbol = chr(fresh)
+        text = text.replace(pair, chr(fresh))
         fresh += 1
         steps += 1
-        replaced = text.replace(pair, symbol)
-        if (len(text) - len(replaced)) * _RECOUNT_SHARE >= len(text):
-            counts, heap = _pair_counts(replaced)
-        else:
-            _patch_pair_counts(counts, heap, text, pair, symbol)
-        text = replaced
     normalized = steps / (len(s) - 1) if len(s) > 1 else 0.0
     return ComplexityValue(steps, normalized)
 

@@ -8,6 +8,8 @@ reduces in trial order.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import warnings
 from dataclasses import dataclass
@@ -212,11 +214,12 @@ def run_genomic(
 
 
 def genomic_csv_text(results: list[GenomicHypothesisResult]) -> str:
-    lines = ["country,n_sequences,prop_h0_rs,prop_h1_cw,skipped_rs,skipped_cw"]
+    """Render genomic results as CSV; a country name holding a comma or quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("country", "n_sequences", "prop_h0_rs", "prop_h1_cw", "skipped_rs", "skipped_cw"))
     for r in results:
         h0 = "" if r.proportion_h0 is None else f"{r.proportion_h0:.6f}"
         h1 = "" if r.proportion_h1 is None else f"{r.proportion_h1:.6f}"
-        lines.append(
-            f"{r.country},{r.n_sequences},{h0},{h1},{r.n_skipped_h0},{r.n_skipped_h1}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow((r.country, r.n_sequences, h0, h1, r.n_skipped_h0, r.n_skipped_h1))
+    return out.getvalue()

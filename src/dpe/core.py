@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .seqcore import VERDICT_TOLERANCE, Direction, SymbolSequence
+from .seqcore import Direction, SymbolSequence
 
 #: Dictionary segments and extracted patterns are never shorter than this.
 MIN_PATTERN_LEN = 2
@@ -647,7 +647,7 @@ def score_direction(
 def infer_causal_direction(x: SymbolSequence, y: SymbolSequence) -> CausalReport:
     """Score both directions and declare the lower average entropy causal.
 
-    Ties within VERDICT_TOLERANCE (and two no-evidence directions) are
+    Ties within `seqcore.VERDICT_TOLERANCE` (and two no-evidence directions) are
     declared independent. When exactly one direction has evidence it wins and
     the strength is infinite.
     """

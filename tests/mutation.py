@@ -171,18 +171,25 @@ MUTANTS = (
         ("tests/test_golden.py::test_outputs_match_recorded_digests",),
     ),
     Mutant(
-        "etc-touching-gain", "src/dpe/baselines.py",
-        "gained.append(fresh + fresh)",
-        "pass",
-        "two touching replaced occurrences make one X X pair the patched counts must gain",
-        ("tests/test_baselines.py::TestOracles", "tests/test_baselines.py::TestEtcUpdatePaths"),
+        "etc-tie-to-largest", "src/dpe/baselines.py",
+        "top = counts.argmax()",
+        "top = len(counts) - 1 - counts[::-1].argmax()",
+        "ETC breaks a frequency tie towards the smallest pair, the first maximum in code-point order",
+        ("tests/test_baselines.py::TestTopPair", "tests/test_baselines.py::TestOracles"),
     ),
     Mutant(
         "pair-halves-swapped", "src/dpe/baselines.py",
-        "halves[:, 0], halves[:, 1] = pairs >> 32, pairs & 0xFFFFFFFF",
-        "halves[:, 1], halves[:, 0] = pairs >> 32, pairs & 0xFFFFFFFF",
-        "a recounted pair keeps its order: (a, b) and (b, a) are different pairs",
-        ("tests/test_baselines.py::TestPairCounts",),
+        "chr(pair >> 32) + chr(pair & 0xFFFFFFFF)",
+        "chr(pair & 0xFFFFFFFF) + chr(pair >> 32)",
+        "a counted pair keeps its order when decoded: (a, b) and (b, a) are different pairs",
+        ("tests/test_baselines.py::TestTopPair",),
+    ),
+    Mutant(
+        "etc-constant-any-pair", "src/dpe/baselines.py",
+        "if count == len(text) - 1 and pair[0] == pair[1]:",
+        "if count == len(text) - 1:",
+        "a pair at every position makes the text constant only when its halves agree: 01 takes one step",
+        ("tests/test_baselines.py::TestEtc",),
     ),
     Mutant(
         "lz76-resume-point", "src/dpe/baselines.py",

@@ -1,5 +1,5 @@
-import heapq
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -95,87 +95,43 @@ def code_point_texts(draw):
     return "".join(map(chr, draw(st.lists(st.sampled_from(palette), max_size=80))))
 
 
-class TestPairCounts:
-    """The recount of one sort over the code points against the per-pair Counter."""
+def doubled_walk(length, seed):
+    """w w for a walk w over 256 symbols whose adjacent pairs are distinct.
+
+    Every pair of w occurs twice, so each ETC step replaces two occurrences
+    and recounts a text only two symbols shorter: ETC's worst known shape.
+    """
+    rng = random.Random(seed)
+    walk, seen = [0], set()
+    while len(walk) < length:
+        pair = (walk[-1], rng.randrange(256))
+        if pair[0] != pair[1] and pair not in seen:
+            seen.add(pair)
+            walk.append(pair[1])
+    return SymbolSequence(tuple(walk + walk), 256)
+
+
+class TestTopPair:
+    """The one-sort recount of each step against the per-pair Counter."""
 
     @settings(max_examples=300)
-    @given(code_point_texts())
-    def test_matches_counter_recount(self, text):
-        counts, heap = baselines._pair_counts(text)
-        want_counts, want_heap = naive_pair_counts(text)
-        assert counts == want_counts
-        assert sorted(heap) == sorted(want_heap)
-        assert heap[:1] == want_heap[:1]  # the most frequent pair, ties to the smallest
-        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+    @given(code_point_texts().filter(lambda text: len(text) > 1))
+    def test_matches_counter_top(self, text):
+        _, heap = naive_pair_counts(text)
+        count, pair = baselines._top_pair(text)
+        assert (-count, pair) == heap[0]  # the most frequent pair, ties to the smallest
 
-    def test_heap_top_breaks_ties_by_code_point(self):
+    def test_top_breaks_ties_by_code_point(self):
         # (U+10000, U+0000) and (U+D800, U+00FF) occur twice each: the tie goes
         # to the smaller code point, U+D800, though it comes second in the text
         text = "".join(map(chr, (0x10000, 0x0, 0x10000, 0x0, 0xD800, 0xFF, 0xD800, 0xFF)))
-        counts, heap = baselines._pair_counts(text)
-        assert heapq.heappop(heap) == (-2, "\ud800\xff")
-        assert heapq.heappop(heap) == (-2, "\U00010000\x00")
-        assert counts["\x00\ud800"] == counts["\xff\ud800"] == 1
+        assert baselines._top_pair(text) == (2, "\ud800\xff")
 
-
-def etc_paths(monkeypatch):
-    """Record, in order, which way each ETC count update was made."""
-    paths = []
-    count, patch = baselines._pair_counts, baselines._patch_pair_counts
-
-    def counted(*args):
-        paths.append("count")
-        return count(*args)
-
-    def patched(*args):
-        paths.append("patch")
-        return patch(*args)
-
-    monkeypatch.setattr(baselines, "_pair_counts", counted)
-    monkeypatch.setattr(baselines, "_patch_pair_counts", patched)
-    return paths
-
-
-class TestEtcUpdatePaths:
-    """Each side of the recount/patch split, checked against the oracle."""
-
-    def test_step_replacing_a_large_share_recounts(self, monkeypatch):
-        paths = etc_paths(monkeypatch)
-        s = seq("0" * 100 + "1" + "0" * 50)  # halving the zero runs
-        assert etc_complexity(s) == naive_etc(s)
-        assert paths[:2] == ["count", "count"]
-
-    def test_step_replacing_a_small_share_patches(self, monkeypatch):
-        paths = etc_paths(monkeypatch)
-        # (0, 1) occurs three times and (5, 6) twice in 206 symbols; every
-        # other pair, and every pair left after those two steps, occurs once
-        repeats = (0, 1, 2, 0, 1, 3, 0, 1, 4, 5, 6, 7, 5, 6, 8)
-        s = SymbolSequence(repeats + tuple(range(9, 200)), 256)
-        assert etc_complexity(s) == naive_etc(s)
-        assert paths == ["count", "patch", "patch"]
-
-    def test_all_distinct_pairs_are_one_count_and_the_tail(self, monkeypatch):
-        paths = etc_paths(monkeypatch)
-        s = SymbolSequence(tuple(range(200)), 256)
+    def test_doubled_walk_matches_oracle(self):
+        s = doubled_walk(300, seed=19)
         value = etc_complexity(s)
-        assert value == naive_etc(s) and value.raw == 199
-        assert paths == ["count"]
-
-    @pytest.mark.parametrize("length, path", [(2 * baselines._RECOUNT_SHARE, "count"),
-                                              (2 * baselines._RECOUNT_SHARE + 1, "patch")])
-    def test_split_at_the_recount_share(self, monkeypatch, length, path):
-        # the first step replaces the two occurrences of (0, 1) in 0 1 0 1 2 3 ...
-        paths = etc_paths(monkeypatch)
-        s = SymbolSequence((0, 1, 0, 1) + tuple(range(2, length - 2)), 256)
-        assert etc_complexity(s) == naive_etc(s)
-        assert paths[1] == path
-
-    @given(sequences())
-    def test_both_paths_match_oracle(self, s):
-        with pytest.MonkeyPatch.context() as mp:
-            for share in (0, 1 << 40):  # patch every step, then recount every step
-                mp.setattr(baselines, "_RECOUNT_SHARE", share)
-                assert etc_complexity(s) == naive_etc(s)
+        assert value == naive_etc(s)
+        assert value.raw == 299  # one step per pair of the walk, down to a constant a a
 
 
 @st.composite
@@ -194,6 +150,11 @@ def doubled_run(draw, extra):
 
 class TestEtcTail:
     """Inputs whose pairs all become unique at a chosen text length."""
+
+    def test_all_distinct_pairs_take_the_tail(self):
+        s = SymbolSequence(tuple(range(200)), 256)
+        value = etc_complexity(s)
+        assert value == naive_etc(s) and value.raw == 199
 
     @given(doubled_run(extra=0))
     def test_tail_at_two_constant(self, s):

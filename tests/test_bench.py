@@ -1,4 +1,6 @@
 import concurrent.futures
+import csv
+import io
 import random
 import subprocess
 import sys
@@ -421,6 +423,25 @@ class TestCli:
         assert lines[1].split(",")[0] == "country"  # the candidates dir name
         assert lines[1].split(",")[1] == "3"
         assert "5%" in proc.stdout
+
+    def test_genomic_csv_quotes_the_country(self, tmp_path):
+        (tmp_path / "ref.fasta").write_text(REF_FASTA)
+        (tmp_path / "cw.fasta").write_text(CW_FASTA)
+        cand_dir = tmp_path / 'Land, "North"'
+        cand_dir.mkdir()
+        (cand_dir / "c.fasta").write_text(CANDIDATES_FASTA)
+        out = tmp_path / "genomic.csv"
+        proc = run_cli(
+            "genomic",
+            "--reference", str(tmp_path / "ref.fasta"),
+            "--cw", str(tmp_path / "cw.fasta"),
+            "--candidates", str(cand_dir),
+            "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, row = csv.reader(io.StringIO(out.read_text()))
+        assert len(header) == len(row) == 6
+        assert row[:2] == ['Land, "North"', "3"]
 
     @pytest.mark.parametrize("option", ["--reference", "--cw"])
     def test_genomic_rejects_multi_record_reference(self, tmp_path, option):
