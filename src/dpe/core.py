@@ -38,10 +38,9 @@ MIN_PATTERN_LEN = 2
 #: compares ``_CHUNK // (w + 16)`` rows, w being the widest row's width; runs
 #: are merged ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8``
 #: windows, in a dense table of at most ``_CHUNK`` entries when the key space fits.
-#: The budget also bounds counting's start filter: it reads ``_CHUNK // 8`` block
-#: ids at a time, marks left ids in a table of at most ``_CHUNK`` entries, and
-#: runs only on a level with more than ``_CHUNK // 8`` blocks and an id bound
-#: of at most ``_CHUNK``.
+#: The budget also gates counting's start filter: it runs only on a level with
+#: more than ``_CHUNK // 8`` blocks, so a cause of one chunk keeps the full
+#: scan, and an id bound of at most ``_CHUNK``, the entries of its mark table.
 _CHUNK = 1 << 16
 
 LABEL_XY = "X->Y"
@@ -433,20 +432,16 @@ def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     return PatternSet(dictionary.direction, patterns)
 
 
-def _table_lookup(keys: np.ndarray, space: int, tables: dict[int, np.ndarray]) -> np.ndarray:
-    """A dense intp table of ``space`` entries that maps each window key to a bin.
+def _table_lookup(keys: np.ndarray, table: np.ndarray) -> None:
+    """Write the bin of each window key into ``table``, a zeroed dense intp
+    table with an entry for every window key.
 
     A window equal to ``keys[i]`` takes bin ``2 * i + 2``, of equal keys the
     first (it is written last); any other window the miss bin 0. The caller
-    adds 1 to the bin of a window whose effect window flips. ``tables`` holds
-    one zeroed table per key space; the caller zeroes ``keys`` in it again
-    once the lookup is done.
+    adds 1 to the bin of a window whose effect window flips, and zeroes
+    ``keys`` in the table again once the lookup is done.
     """
-    table = tables.get(space)
-    if table is None:
-        table = tables[space] = np.zeros(space, dtype=np.intp)  # bincount's own bin type
     table[keys[::-1]] = np.arange(2 * len(keys), 0, -2)
-    return table
 
 
 def _sorted_lookup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,26 +457,21 @@ def _sorted_lookup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _level_starts(level: np.ndarray, left: np.ndarray, bound: int) -> np.ndarray | None:
     """The positions s, ascending, whose block ``level[s]`` is one of the ids
-    ``left``, all of them below ``bound``; None as soon as half of the
-    positions qualify.
+    ``left``, all of them below ``bound``; None when half of the positions or
+    more qualify.
 
-    The ids are marked in a bool table of ``bound`` entries, and ``level`` is
-    read ``_CHUNK // 8`` ids at a time.
+    The ids are marked in a bool table of ``bound`` entries, and one gather
+    reads the mark of every block.
     """
-    m = len(level)
     mark = np.zeros(bound, dtype=bool)
     mark[left] = True
-    found, total = [], 0
-    for first in range(0, m, _CHUNK // 8):
-        hit = np.flatnonzero(mark[level[first : first + _CHUNK // 8]])
-        total += len(hit)
-        # past about half, the starts cost more than the full scan: on a 30k
-        # 4-ary cause's level 2 (four lengths) 1.31 against 1.19 ms at a share
-        # of 0.50, 0.91 against 1.11 ms at 0.375 (2-core VM, numpy 2.4.6)
-        if 2 * total >= m:
-            return None
-        found.append(hit + first)
-    return np.concatenate(found)
+    hit = mark[level]
+    # past about half, the starts cost more than the full scan: on a 30k
+    # 4-ary cause's level 2 (four lengths) 1.31 against 1.19 ms at a share
+    # of 0.50, 0.91 against 1.11 ms at 0.375 (2-core VM, numpy 2.4.6)
+    if 2 * np.count_nonzero(hit) >= len(level):
+        return None
+    return np.flatnonzero(hit)
 
 
 def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -504,8 +494,9 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
     tests just those for a flip. Either way one bincount per chunk counts
     every overlapping occurrence, in one (steady, flipped) pair of bins per
     pattern, and the counts of every length are written back at once.
-    Lengths with the same key space share one table, and each resets only
-    the keys it wrote.
+    The lengths share one table, replaced by a larger one only when a
+    level's key space needs more entries, and each resets only the keys it
+    wrote.
     """
     ids, bound, changed = index.ids, index.bound, index.changed
     n = ids.shape[1]
@@ -517,7 +508,7 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
     # shared because zeroing a fresh table of up to _CHUNK entries for every
     # length costs more than the lookups: it took a sweep-size ar1 pair from
     # 7.6 to 10.2 ms (2-core VM, Python 3.11.7, numpy 2.4.6)
-    tables: dict[int, np.ndarray] = {}
+    table = np.zeros(0, dtype=np.intp)  # bincount's own bin type
     by_length = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[by_length]
     counted = []  # each length's bins past the miss, in by_length order
@@ -536,7 +527,9 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
         space = int(bound[k]) ** 2  # every window key of this length is below it
         dense = space <= _CHUNK
         if dense:
-            table = _table_lookup(member_keys, space, tables)
+            if len(table) < space:
+                table = np.zeros(space, dtype=np.intp)
+            _table_lookup(member_keys, table)
         else:
             ranked, found = _sorted_lookup(member_keys)
         counts = np.zeros(2 * len(members) + 2, dtype=np.intp)  # a miss, then (steady, flipped) bins

@@ -83,7 +83,7 @@ MUTANTS = (
         "counting-table-kept", "src/dpe/core.py",
         "table[member_keys] = 0",
         "pass",
-        "lengths of one key space share a table, so each must clear the keys it wrote",
+        "every length of a call shares one table, so each must clear the keys it wrote",
         ("tests/test_kernels.py::TestCountingKernel", "tests/test_kernels.py::TestLookupSides"),
     ),
     Mutant(
@@ -94,11 +94,21 @@ MUTANTS = (
         ("tests/test_kernels.py::TestLookupSides",),
     ),
     Mutant(
-        "start-chunk-offset", "src/dpe/core.py",
-        "found.append(hit + first)",
-        "found.append(hit)",
-        "a start found in a later chunk of the filter pass is that chunk's first position plus its offset",
+        "start-half-boundary", "src/dpe/core.py",
+        "if 2 * np.count_nonzero(hit) >= len(level):",
+        "if 2 * np.count_nonzero(hit) > len(level):",
+        "a level where half of the positions or more are starts takes the full scan",
         ("tests/test_kernels.py::TestStartFilter",),
+    ),
+    Mutant(
+        "table-not-grown", "src/dpe/core.py",
+        "if len(table) < space:",
+        "if not len(table):",
+        "a longer level's key space may need more entries than the table a shorter level left",
+        (
+            "tests/test_kernels.py::TestLookupSides",
+            "tests/test_kernels.py::test_genome_scale_counting_stays_within_a_memory_cap",
+        ),
     ),
     Mutant(
         "start-cut-side", "src/dpe/core.py",

@@ -665,7 +665,7 @@ class TestLookupSides:
             for s in score.pattern_scores:
                 assert (s.n_change, s.n_nochange) == naive_response(s.pattern.symbols, cause, effect)
             assert search.called and (table.called or chunk < core._CHUNK)
-            assert all(c.args[1] <= chunk for c in table.call_args_list)
+            assert all(len(c.args[1]) <= chunk for c in table.call_args_list)
 
 
 def start_filter():
@@ -773,6 +773,31 @@ class TestStartFilter:
         patterns = [p for p in patterns if p in cause] + [cause[-3:], b"\x00\x00\x01\x01", cause[-2:]]
         calls = self.check(cause, effect, patterns, chunk)
         assert [(m, starts is None) for m, _, starts in calls][:1] == [(n - 1, True)]
+
+    @pytest.mark.parametrize("chunk", BUDGETS)
+    def test_half_rule_boundary(self, chunk):
+        # of m blocks, exactly half qualifying gives None, one fewer the starts
+        # that a per-position scan finds, none an empty array
+        m = 2 * (chunk // 8) + 10
+        rng = random.Random(chunk)
+        for hits in (m // 2, m // 2 - 1, 0):
+            qualify = set(rng.sample(range(m), hits))
+            level = np.array([rng.choice((1, 3) if s in qualify else (0, 2)) for s in range(m)], dtype=np.int32)
+            starts = core._level_starts(level, np.array([1, 3]), 4)
+            if hits == m // 2:
+                assert starts is None
+            else:
+                assert starts is not None and starts.tolist() == sorted(qualify)
+        # the patterns' left 2-blocks, 0 1 and 1 1, start wherever the next
+        # symbol is 1: at the ones of cause[1:], m of them
+        patterns = [b"\x00\x01", b"\x01\x01", b"\x00\x01\x01", b"\x01\x01\x00"]
+        for ones in (m // 2, m // 2 - 1):
+            body = [1] * (ones - 2) + [0] * (m - 2 - ones)
+            rng.shuffle(body)
+            cause = bytes([0, 0, 1, 1, 0] + body)
+            effect = flip_effect(len(cause), 0.3, seed=ones)
+            calls = self.check(cause, effect, patterns, chunk)
+            assert [(m_, bound, starts is None) for m_, bound, starts in calls] == [(m, 4, ones == m // 2)]
 
     @pytest.mark.parametrize("chunk", BUDGETS)
     def test_rank_keyed_level_beyond_the_budget_takes_the_full_scan(self, chunk):
@@ -904,7 +929,7 @@ def test_genome_scale_scores_equal_with_and_without_the_start_filter(seed):
 
 
 def test_genome_scale_counting_stays_within_a_memory_cap():
-    # 4-ary lengths 2..7 take tables of up to 2**16 intp entries (512 KB)
+    # 4-ary lengths 2..7 take one table, grown to 2**16 intp entries (512 KB)
     # and lengths 8 and 12 binary search. Lengths 2 and 3 open with nearly
     # every 2-block, so they take the full scan (half the positions are
     # starts); lengths 5..12 are counted at their starts, fewer than half the
@@ -923,7 +948,7 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [c.args[1] for c in table.call_args_list] == [4**4, 4**4, 4**8, 4**8]
+    assert [len(c.args[1]) for c in table.call_args_list] == [4**4, 4**4, 4**8, 4**8]
     assert search.call_count == 2
     assert list(zip(n_occ.tolist(), n_change.tolist())) == first_copy_responses(patterns, cause, effect)
     assert peak < 2 * 1024 * 1024
