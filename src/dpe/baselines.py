@@ -99,6 +99,20 @@ def _top_pair(text: str) -> tuple[int, str]:
     return int(counts[top]), chr(pair >> 32) + chr(pair & 0xFFFFFFFF)
 
 
+def _top_byte_pair(text: str, fresh: int) -> tuple[int, str]:
+    """``_top_pair`` for a text whose code points are all below ``fresh <= 256``.
+
+    Each pair becomes the integer ``left * fresh + right`` and one
+    ``np.bincount`` over at most 65,536 bins counts them all, with no sort.
+    Bin order is code-point order and ``argmax`` takes the first maximum, so
+    ties go to the smallest pair, as in ``_top_pair``.
+    """
+    codes = np.frombuffer(text.encode("latin-1"), dtype=np.uint8).astype(np.intp)
+    counts = np.bincount(codes[:-1] * fresh + codes[1:])
+    pair = int(counts.argmax())
+    return int(counts[pair]), chr(pair // fresh) + chr(pair % fresh)
+
+
 def etc_complexity(s: SymbolSequence) -> ComplexityValue:
     """Number of pair-substitution iterations until constant or length 1.
 
@@ -109,8 +123,9 @@ def etc_complexity(s: SymbolSequence) -> ComplexityValue:
 
     The sequence is held as a string with one code point per symbol, so
     ``str.replace`` performs the substitution, and every step recounts the
-    pairs with ``_top_pair``; code-point order is symbol order, so the
-    tie-break is unchanged.
+    pairs: with ``_top_byte_pair`` while every code point fits a byte, with
+    ``_top_pair`` after. Code-point order is symbol order, so the tie-break
+    is unchanged.
 
     Once the most frequent pair occurs only once and the text is not
     constant, the remaining step count is known: ``len(text) - 1``. Every
@@ -132,7 +147,7 @@ def etc_complexity(s: SymbolSequence) -> ComplexityValue:
     text = data.decode("latin-1")  # byte v -> code point v
     steps = 0
     while len(text) > 1:
-        count, pair = _top_pair(text)
+        count, pair = _top_byte_pair(text, fresh) if fresh <= 256 else _top_pair(text)
         if count == len(text) - 1 and pair[0] == pair[1]:
             break  # one pair fills every position: the text is constant
         if count == 1:  # every pair is unique from here on (see above)

@@ -75,6 +75,13 @@ def _write(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an ``--out`` whose directory is missing before a long run, not after it."""
+    folder = Path(path).parent
+    if not folder.is_dir():
+        raise InputError(f"--out {path}: directory {folder} does not exist")
+
+
 def cmd_infer(args) -> int:
     if args.drop < 0:
         raise InputError(f"--drop must be >= 0, got {args.drop}")
@@ -121,6 +128,7 @@ def _build_spec(args) -> TrialSpec:
 
 
 def cmd_bench(args) -> int:
+    _check_out_dir(args.out)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     spec = _build_spec(args)
     results = bench_mod.run_sweep(spec, methods=methods, workers=args.workers)
@@ -142,6 +150,7 @@ def _single_record(path: str):
 
 
 def cmd_genomic(args) -> int:
+    _check_out_dir(args.out)
     rs = _single_record(args.reference)
     cw = _single_record(args.cw)
     cand_dir = Path(args.candidates)

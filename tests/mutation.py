@@ -195,6 +195,27 @@ MUTANTS = (
         ("tests/test_baselines.py::TestTopPair",),
     ),
     Mutant(
+        "etc-byte-boundary", "src/dpe/baselines.py",
+        "if fresh <= 256 else",
+        "if fresh < 256 else",
+        "ETC counts on the dense side while every code point of its text fits a byte, up to fresh 256",
+        ("tests/test_baselines.py::TestEtcSides",),
+    ),
+    Mutant(
+        "byte-pair-halves-swapped", "src/dpe/baselines.py",
+        "codes[:-1] * fresh + codes[1:]",
+        "codes[1:] * fresh + codes[:-1]",
+        "the dense side's bin of (a, b) is a * fresh + b, so decoding it gives back a then b",
+        ("tests/test_baselines.py::TestTopBytePair", "tests/test_baselines.py::TestEtcSides"),
+    ),
+    Mutant(
+        "byte-tie-to-largest", "src/dpe/baselines.py",
+        "pair = int(counts.argmax())",
+        "pair = len(counts) - 1 - int(counts[::-1].argmax())",
+        "the dense side breaks a frequency tie towards the smallest pair, the first maximum in bin order",
+        ("tests/test_baselines.py::TestTopBytePair", "tests/test_baselines.py::TestEtcSides"),
+    ),
+    Mutant(
         "etc-constant-any-pair", "src/dpe/baselines.py",
         "if count == len(text) - 1 and pair[0] == pair[1]:",
         "if count == len(text) - 1:",

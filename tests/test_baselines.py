@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +59,9 @@ class TestOracles:
     @pytest.mark.parametrize("text", RUN_HEAVY)
     def test_run_heavy_cases(self, text):
         s = seq(text)
-        assert etc_complexity(s) == naive_etc(s)
+        value, sides = etc_sides(s)
+        assert value == naive_etc(s)
+        assert "sorted" not in sides  # a byte holds every step of these texts
         assert lz76_complexity(s) == naive_lz76(s)
 
     @settings(max_examples=300)
@@ -95,8 +98,8 @@ def code_point_texts(draw):
     return "".join(map(chr, draw(st.lists(st.sampled_from(palette), max_size=80))))
 
 
-def doubled_walk(length, seed):
-    """w w for a walk w over 256 symbols whose adjacent pairs are distinct.
+def doubled_walk(length, seed, alphabet=256):
+    """w w for a walk w over ``alphabet`` symbols whose adjacent pairs are distinct.
 
     Every pair of w occurs twice, so each ETC step replaces two occurrences
     and recounts a text only two symbols shorter: ETC's worst known shape.
@@ -104,11 +107,11 @@ def doubled_walk(length, seed):
     rng = random.Random(seed)
     walk, seen = [0], set()
     while len(walk) < length:
-        pair = (walk[-1], rng.randrange(256))
+        pair = (walk[-1], rng.randrange(alphabet))
         if pair[0] != pair[1] and pair not in seen:
             seen.add(pair)
             walk.append(pair[1])
-    return SymbolSequence(tuple(walk + walk), 256)
+    return SymbolSequence(tuple(walk + walk), alphabet)
 
 
 class TestTopPair:
@@ -132,6 +135,99 @@ class TestTopPair:
         value = etc_complexity(s)
         assert value == naive_etc(s)
         assert value.raw == 299  # one step per pair of the walk, down to a constant a a
+
+
+def etc_sides(s):
+    """etc_complexity(s), and the side each step's count took: "dense" or "sorted"."""
+    sides = []
+
+    def recorded(side, count):
+        return lambda *args: sides.append(side) or count(*args)
+
+    with mock.patch.object(baselines, "_top_byte_pair", recorded("dense", baselines._top_byte_pair)), \
+            mock.patch.object(baselines, "_top_pair", recorded("sorted", baselines._top_pair)):
+        value = etc_complexity(s)
+    return value, sides
+
+
+def byte_rule(s, steps):
+    """The side of each of ``steps`` counts: dense while every code point fits a byte."""
+    fresh = max(s.symbols) + 1  # the text's code points are all below fresh
+    return ["dense" if fresh + step <= 256 else "sorted" for step in range(steps)]
+
+
+@st.composite
+def byte_texts(draw):
+    """(text, fresh): a text over a few code points below fresh <= 256, so counts tie."""
+    palette = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    text = "".join(map(chr, draw(st.lists(st.sampled_from(palette), min_size=2, max_size=80))))
+    return text, draw(st.integers(max(palette) + 1, 256))
+
+
+class TestTopBytePair:
+    """The bincount of each step while the text fits a byte, against the per-pair Counter."""
+
+    @settings(max_examples=300)
+    @given(byte_texts())
+    def test_matches_counter_top(self, case):
+        text, fresh = case
+        counts, heap = naive_pair_counts(text)
+        count, pair = baselines._top_byte_pair(text, fresh)
+        assert (-count, pair) == heap[0]  # the most frequent pair, ties to the smallest
+        assert counts[pair] == count
+
+    def test_top_breaks_ties_by_code_point(self):
+        # (3, 0) and (1, 2) occur twice each: the tie goes to (1, 2), the
+        # smaller bin, though it comes second in the text
+        text = "".join(map(chr, (3, 0, 3, 0, 1, 2, 1, 2)))
+        for fresh in (4, 255, 256):
+            assert baselines._top_byte_pair(text, fresh) == (2, "\x01\x02")
+
+    def test_halves_keep_their_order(self):
+        # (2, 1) is the top pair; its mirror (1, 2) occurs once
+        text = "".join(map(chr, (2, 1, 2, 1, 0)))
+        assert baselines._top_byte_pair(text, 3) == (2, "\x02\x01")
+
+
+@st.composite
+def sided_sequences(draw):
+    """Sequences whose largest symbol puts ETC's first counts near the byte boundary."""
+    top = draw(st.sampled_from((0, 1, 3, 200, 250, 254, 255)))
+    symbol = st.integers(0, top)
+    if draw(st.booleans()):
+        symbols = draw(st.lists(symbol, max_size=300))
+    else:  # short motifs repeated, so that many steps count more than one pair
+        motifs = st.lists(symbol, min_size=1, max_size=3)
+        blocks = draw(st.lists(st.tuples(motifs, st.integers(1, 30)), min_size=1, max_size=8))
+        symbols = [v for motif, times in blocks for _ in range(times) for v in motif][:300]
+    return SymbolSequence(tuple(symbols) + (top,), top + 1)
+
+
+class TestEtcSides:
+    """Each step counts on the dense side while fresh <= 256 and on the sorted side after."""
+
+    @settings(max_examples=200)
+    @given(sided_sequences())
+    def test_matches_oracle_on_either_side(self, s):
+        value, sides = etc_sides(s)
+        assert value == naive_etc(s)
+        assert sides == byte_rule(s, len(sides))
+
+    @pytest.mark.parametrize("top, dense", ((254, 2), (255, 1)))
+    def test_alphabets_255_and_256_cross_early(self, top, dense):
+        # fresh starts at top + 1: a byte holds the text until fresh passes 256
+        s = SymbolSequence((top, 0, top, 0, top, 0, 1, 2, 1, 2, 1), top + 1)
+        value, sides = etc_sides(s)
+        assert value == naive_etc(s)
+        assert len(sides) > dense
+        assert sides == ["dense"] * dense + ["sorted"] * (len(sides) - dense)
+
+    def test_fresh_symbols_pass_255_mid_run(self):
+        s = doubled_walk(300, seed=5, alphabet=64)
+        value, sides = etc_sides(s)
+        assert value == naive_etc(s) and value.raw == 299
+        assert sides == byte_rule(s, 300)
+        assert sides.count("dense") == 256 - 64 + 1  # fresh 64 to 256
 
 
 @st.composite

@@ -403,6 +403,18 @@ class TestCli:
         proc = run_cli("bench", "--family", "warp", "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("command, run", (
+        (["bench", "--family", "delay", "--trials", "2"], "run_sweep"),
+        (["genomic", "--reference", "r.fa", "--cw", "c.fa", "--candidates", "."], "run_genomic"),
+    ))
+    def test_missing_out_directory_exits_before_the_run(self, tmp_path, monkeypatch, capsys, command, run):
+        started = mock.Mock(side_effect=AssertionError("the run started"))
+        monkeypatch.setattr(bench, run, started)
+        out = tmp_path / "missing" / "r.csv"
+        assert cli.main([*command, "--out", str(out)]) == 1
+        assert f"directory {tmp_path / 'missing'} does not exist" in capsys.readouterr().err
+        assert not started.called and not out.parent.exists()
+
     def test_genomic_command(self, tmp_path):
         (tmp_path / "ref.fasta").write_text(REF_FASTA)
         (tmp_path / "cw.fasta").write_text(CW_FASTA)
