@@ -75,14 +75,17 @@ def _write(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _check_out_dir(path: str) -> None:
-    """Refuse an ``--out`` whose directory is missing before a long run, not after it."""
-    folder = Path(path).parent
-    if not folder.is_dir():
-        raise InputError(f"--out {path}: directory {folder} does not exist")
+def _check_out_dir(flag: str, path: str | None) -> None:
+    """Refuse an output path that is a directory or whose directory is missing, before any work."""
+    if path is not None and Path(path).is_dir():  # "" names the working directory
+        raise InputError(f"{flag} {path} is a directory")
+    if path is not None and not Path(path).parent.is_dir():
+        raise InputError(f"{flag} {path}: directory {Path(path).parent} does not exist")
 
 
 def cmd_infer(args) -> int:
+    _check_out_dir("--out", args.out)
+    _check_out_dir("--graph", args.graph)
     if args.drop < 0:
         raise InputError(f"--drop must be >= 0, got {args.drop}")
     sx, sy = load_pair_csv(args.input, cols=_parse_cols(args.cols))
@@ -128,7 +131,7 @@ def _build_spec(args) -> TrialSpec:
 
 
 def cmd_bench(args) -> int:
-    _check_out_dir(args.out)
+    _check_out_dir("--out", args.out)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     spec = _build_spec(args)
     results = bench_mod.run_sweep(spec, methods=methods, workers=args.workers)
@@ -150,7 +153,7 @@ def _single_record(path: str):
 
 
 def cmd_genomic(args) -> int:
-    _check_out_dir(args.out)
+    _check_out_dir("--out", args.out)
     rs = _single_record(args.reference)
     cw = _single_record(args.cw)
     cand_dir = Path(args.candidates)

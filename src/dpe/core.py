@@ -196,10 +196,14 @@ def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.nda
 
     It pairs the ids of the two ``2**k``-blocks, ``2**k <= L < 2**(k+1)``, at its ends:
     k is L's binary exponent less one, and both ids are read in the flat table."""
-    k = np.frexp(lengths)[1].astype(np.int64) - 1
+    k = np.subtract(np.frexp(lengths)[1], 1, dtype=np.int64)
     at = k * ids.shape[1] + starts
-    flat = ids.reshape(-1)
-    return flat[at] * bound[k] + flat[at + lengths - (1 << k)]
+    key = bound[k]
+    key *= np.take(ids, at)
+    at += lengths
+    at -= np.left_shift(1, k, out=k)
+    key += np.take(ids, at)
+    return key
 
 
 def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -251,19 +255,17 @@ def build_flip_dictionary(
     if len(source) < 2:
         raise ValueError("dictionary construction needs length >= 2")
     changed = _changes(target.data)
-    flips = np.flatnonzero(changed) + 1  # 0-based index of the changed symbol
-    heads = np.flatnonzero(np.diff(flips, prepend=-1) != 1)  # the first flip of each run
-    # each flip's place in its run: its index less that of its run's first flip
-    place = np.arange(len(flips)) - np.repeat(heads, np.diff(heads, append=len(flips)))
-    stops = flips[np.flatnonzero((place & 1) == 0)] + 1
+    # replacing left to right without overlap clears the flips at odd places of each run
+    stops = np.flatnonzero(np.frombuffer(changed.tobytes().replace(b"\1\1", b"\1\0"), dtype=bool))
+    stops += 2  # flag i marks symbol i + 1, which ends its segment
     if len(stops) == 0:
         return FlipDictionary(direction, ())
     lengths = np.diff(stops, prepend=0)
-    starts = stops - lengths
+    starts = np.subtract(stops, lengths, out=stops)  # the stops are not read again
     ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(lengths.max()))
     keep = _first_by_content(lengths, _content_keys(ids, bound, starts, lengths), np.zeros_like(lengths))
-    starts, stops = starts[keep], stops[keep]  # still ascending
-    segments = tuple(source.fragment(a, b) for a, b in zip(starts.tolist(), stops.tolist()))
+    starts = starts[keep]  # still ascending
+    segments = tuple(source.fragment(a, a + n) for a, n in zip(starts.tolist(), lengths[keep].tolist()))
     return FlipDictionary(direction, segments, _DirectionIndex(ids, bound, changed, source.data, starts))
 
 
@@ -460,11 +462,13 @@ def _level_starts(level: np.ndarray, left: np.ndarray, bound: int) -> np.ndarray
     ``left``, all of them below ``bound``; None when half of the positions or
     more qualify.
 
-    The ids are marked in a bool table of ``bound`` entries, and one gather
-    reads the mark of every block.
+    The ids are marked in a bool table of ``bound`` entries, and one gather,
+    skipped when every id is marked, reads the mark of every block.
     """
     mark = np.zeros(bound, dtype=bool)
     mark[left] = True
+    if mark.all():  # every position qualifies
+        return None
     hit = mark[level]
     # past about half, the starts cost more than the full scan: on a 30k
     # 4-ary cause's level 2 (four lengths) 1.31 against 1.19 ms at a share

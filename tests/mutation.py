@@ -74,9 +74,16 @@ MUTANTS = (
     ),
     Mutant(
         "flip-cut-parity", "src/dpe/core.py",
-        "stops = flips[np.flatnonzero((place & 1) == 0)] + 1",
-        "stops = flips[np.flatnonzero((place & 1) == 1)] + 1",
+        'replace(b"\\1\\1", b"\\1\\0")',
+        'replace(b"\\1\\1", b"\\0\\1")',
         "within a run of consecutive flips those at even offsets cut, so every segment has length >= 2",
+        ("tests/test_kernels.py::TestFlipCut", "tests/test_kernels.py::TestDictionaryOrder"),
+    ),
+    Mutant(
+        "flip-cut-offset", "src/dpe/core.py",
+        "stops += 2",
+        "stops += 1",
+        "a flip's flag sits one before its changed symbol, and the segment stops after that symbol",
         ("tests/test_kernels.py::TestFlipCut", "tests/test_kernels.py::TestDictionaryOrder"),
     ),
     Mutant(
@@ -98,6 +105,13 @@ MUTANTS = (
         "if 2 * np.count_nonzero(hit) >= len(level):",
         "if 2 * np.count_nonzero(hit) > len(level):",
         "a level where half of the positions or more are starts takes the full scan",
+        ("tests/test_kernels.py::TestStartFilter",),
+    ),
+    Mutant(
+        "start-all-marked", "src/dpe/core.py",
+        "if mark.all():",
+        "if mark.any():",
+        "only a level whose every id is a left block has every position a start; otherwise the marks are read",
         ("tests/test_kernels.py::TestStartFilter",),
     ),
     Mutant(
@@ -126,8 +140,8 @@ MUTANTS = (
     ),
     Mutant(
         "level-exponent-off-by-one", "src/dpe/core.py",
-        "k = np.frexp(lengths)[1].astype(np.int64) - 1",
-        "k = np.frexp(lengths)[1].astype(np.int64) - 2",
+        "k = np.subtract(np.frexp(lengths)[1], 1, dtype=np.int64)",
+        "k = np.subtract(np.frexp(lengths)[1], 2, dtype=np.int64)",
         "a window of 2**k to 2**(k+1) - 1 symbols is keyed by the two 2**k-blocks that cover it",
         ("tests/test_kernels.py::TestContentKeys",),
     ),

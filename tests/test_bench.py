@@ -415,6 +415,37 @@ class TestCli:
         assert f"directory {tmp_path / 'missing'} does not exist" in capsys.readouterr().err
         assert not started.called and not out.parent.exists()
 
+    @pytest.mark.parametrize("command, run", (
+        (["bench", "--family", "delay", "--trials", "2"], "run_sweep"),
+        (["genomic", "--reference", "r.fa", "--cw", "c.fa", "--candidates", "."], "run_genomic"),
+    ))
+    def test_out_directory_exits_before_the_run(self, tmp_path, monkeypatch, capsys, command, run):
+        started = mock.Mock(side_effect=AssertionError("the run started"))
+        monkeypatch.setattr(bench, run, started)
+        monkeypatch.chdir(tmp_path)
+        for out in (str(tmp_path), ""):  # an empty path names the working directory
+            assert cli.main([*command, "--out", out]) == 1
+            assert f"--out {out} is a directory" in capsys.readouterr().err
+        assert not started.called and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ("--out", "--graph"))
+    @pytest.mark.parametrize("problem", ("is a directory", "does not exist"))
+    def test_infer_checks_both_outputs_before_writing_either(self, tmp_path, monkeypatch, capsys, flag, problem):
+        csv = tmp_path / "pair.csv"
+        csv.write_text("1.0,0.0\n0.0,1.0\n" * 12)
+        started = mock.Mock(side_effect=AssertionError("inference started"))
+        monkeypatch.setattr(cli, "infer_causal_direction", started)
+        paths = {"--out": tmp_path / "report.txt", "--graph": tmp_path / "graph.jsonl"}
+        if problem == "is a directory":
+            paths[flag].mkdir()
+        else:
+            paths[flag] = tmp_path / "missing" / paths[flag].name
+        argv = ["infer", "--input", str(csv), "--out", str(paths["--out"]), "--graph", str(paths["--graph"])]
+        assert cli.main(argv) == 1
+        assert f"error: {flag} {paths[flag]}" in capsys.readouterr().err
+        assert not started.called
+        assert not any(path.is_file() for path in paths.values()) and not (tmp_path / "missing").exists()
+
     def test_genomic_command(self, tmp_path):
         (tmp_path / "ref.fasta").write_text(REF_FASTA)
         (tmp_path / "cw.fasta").write_text(CW_FASTA)

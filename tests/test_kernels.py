@@ -441,8 +441,44 @@ CUT_TARGETS = {
 }
 
 
+@st.composite
+def flip_run_targets(draw):
+    """A binary target whose flips come in runs of 1 to 8, odd and even, the
+    first possibly at index 1 and the last possibly at the last symbol; or one
+    that flips at every position, or never."""
+    kind = draw(st.sampled_from(("runs", "every", "none")))
+    if kind != "runs":
+        n = draw(st.integers(2, 60))
+        return flips_at(n, set(range(1, n)) if kind == "every" else set())
+    pieces = draw(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4)), min_size=1, max_size=6))
+    flags = [False] * draw(st.integers(0, 3))  # none: the first run opens at index 1
+    for run, gap in pieces:
+        flags += [True] * run + [False] * gap
+    if draw(st.booleans()):  # the last run flips the last symbol
+        del flags[len(flags) - pieces[-1][1] :]
+    return flips_at(len(flags) + 1, {i + 1 for i, flag in enumerate(flags) if flag})
+
+
 class TestFlipCut:
     """Each flip's place in its run decides whether it cuts; only even places do."""
+
+    @given(flip_run_targets(), st.data())
+    def test_runs_anywhere_match_naive_dictionary(self, target, data):
+        ramp = SymbolSequence(tuple(range(len(target))), len(target))  # every segment distinct
+        alphabet, palette = data.draw(palettes(most=2))
+        drawn = SymbolSequence(data.draw(words(palette, len(target), len(target))), alphabet)
+        for source in (ramp, drawn):
+            got = [s.symbols for s in build_flip_dictionary(source, target).segments]
+            assert got == naive_dictionary(source.symbols, target.symbols)
+
+    def test_genome_scale_cut_matches_naive_dictionary(self):
+        # a uniform 4-ary target flips at about 3/4 of its positions: here in
+        # runs of every length from 1 to 23, and a few up to 36
+        rng = random.Random(11)
+        x, y = (SymbolSequence(bytes(rng.randrange(4) for _ in range(30_000)), 4) for _ in range(2))
+        got = build_flip_dictionary(x, y)
+        assert [s.symbols for s in got.segments] == naive_dictionary(x.symbols, y.symbols)
+        assert all(x.data[a : a + len(s)] == s.data for s, a in zip(got.segments, got.index.starts.tolist()))
 
     @pytest.mark.parametrize("target", CUT_TARGETS.values(), ids=CUT_TARGETS.keys())
     def test_cut_matches_naive_dictionary(self, target):
@@ -800,6 +836,25 @@ class TestStartFilter:
             assert [(m_, bound, starts is None) for m_, bound, starts in calls] == [(m, 4, ones == m // 2)]
 
     @pytest.mark.parametrize("chunk", BUDGETS)
+    def test_every_id_a_left_block_skips_the_gather(self, chunk):
+        # of a level's four ids, all of them left gives None before any mark
+        # is read; with the most common one missing, fewer than half qualify
+        m = 2 * (chunk // 8) + 12
+        level = np.zeros(m, dtype=np.int32)
+        level[::4] = np.arange(len(level[::4])) % 3 + 1  # ids 1, 2, 3 at a quarter of the positions
+        assert core._level_starts(level, np.arange(4), 4) is None
+        starts = core._level_starts(level, np.array([1, 2, 3]), 4)
+        assert starts is not None and starts.tolist() == list(range(0, m, 4))
+        # a cause whose 2-blocks are mostly 0 0 and end with 1 1
+        cause = rare_cause(3 * (chunk // 8) + 40, rare=6, seed=chunk)
+        effect = flip_effect(len(cause), 0.2, seed=chunk)
+        every = [b"\x00\x00", b"\x00\x01", b"\x01\x00", b"\x01\x01", cause[:3]]
+        calls = self.check(cause, effect, every, chunk)
+        assert [(m_, bound, starts is None) for m_, bound, starts in calls] == [(len(cause) - 1, 4, True)]
+        ((_, _, starts),) = self.check(cause, effect, every[1:4] + [cause[-3:]], chunk)
+        assert starts is not None and 0 < len(starts) < (len(cause) - 1) / 2
+
+    @pytest.mark.parametrize("chunk", BUDGETS)
     def test_rank_keyed_level_beyond_the_budget_takes_the_full_scan(self, chunk):
         # 256-ary ids rank from level 2 on, and n random symbols hold about n
         # distinct 4-blocks, more than the budget's entries
@@ -953,7 +1008,7 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
     assert list(zip(n_occ.tolist(), n_change.tolist())) == first_copy_responses(patterns, cause, effect)
     assert peak < 2 * 1024 * 1024
     # the flip dictionary of the same pair: 22,439 flips cut 12,858 segments of
-    # at most 9 symbols into 503 distinct ones, peaking near 1.7 MB
+    # at most 9 symbols into 503 distinct ones, peaking near 1.1 MiB
     x, y = SymbolSequence(cause, 4), SymbolSequence(effect, 4)
     tracemalloc.start()
     try:
@@ -962,4 +1017,4 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
     finally:
         tracemalloc.stop()
     assert [s.symbols for s in segments] == naive_dictionary(x.symbols, y.symbols)
-    assert peak < 2 * 1024 * 1024
+    assert peak < 1.2 * 1024 * 1024
