@@ -206,31 +206,32 @@ def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.nda
     return key
 
 
-def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray) -> np.ndarray:
+def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray | None = None) -> np.ndarray:
     """Index of the first entry, by rank and then position, of each content, in that order.
 
     The kernels' one content dedupe: it keeps the flip dictionary's first
     segments (``build_flip_dictionary``), each width's first windows in
-    extraction (``_first_windows``) and the first runs of each merge
-    (``_pattern_bytes``). (length, key, rank, position) are packed into one
-    int64 when their bit widths, taken from the maxima, add up to at most 63:
-    one plain sort then orders the entries and one more orders the firsts.
-    Wider inputs lexsort.
+    extraction (``_first_windows``), both by position alone, and the first
+    runs of each merge (``_pattern_bytes``), ranked by pair. (length, key,
+    rank, position) are packed into one int64 when their bit widths, taken
+    from the maxima, add up to at most 63: one plain sort then orders the
+    entries and one more orders the firsts. Wider inputs lexsort.
     """
     n = len(lengths)
     index_bits = max(n - 1, 0).bit_length()
-    low = int(rank.max(initial=0)).bit_length() + index_bits  # rank and position
+    low = (0 if rank is None else int(rank.max(initial=0)).bit_length()) + index_bits  # rank and position
     key_bits = int(keys.max(initial=0)).bit_length()
     if int(lengths.max(initial=0)).bit_length() + key_bits + low > 63:
-        idx = np.lexsort((rank, keys, lengths))
+        idx = np.lexsort((keys, lengths) if rank is None else (rank, keys, lengths))
         lengths, keys = lengths[idx], keys[idx]
         head = np.ones(len(idx), dtype=bool)
         head[1:] = (lengths[1:] != lengths[:-1]) | (keys[1:] != keys[:-1])
         first = np.sort(idx[head])
-        return first[np.argsort(rank[first], kind="stable")]
+        return first if rank is None else first[np.argsort(rank[first], kind="stable")]
     packed = np.left_shift(lengths, key_bits + low, dtype=np.int64)
     packed |= keys << low
-    packed |= rank << index_bits
+    if rank is not None:
+        packed |= rank << index_bits
     packed |= np.arange(n)
     packed.sort()
     content = packed >> low
@@ -263,7 +264,7 @@ def build_flip_dictionary(
     lengths = np.diff(stops, prepend=0)
     starts = np.subtract(stops, lengths, out=stops)  # the stops are not read again
     ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(lengths.max()))
-    keep = _first_by_content(lengths, _content_keys(ids, bound, starts, lengths), np.zeros_like(lengths))
+    keep = _first_by_content(lengths, _content_keys(ids, bound, starts, lengths))
     starts = starts[keep]  # still ascending
     segments = tuple(source.fragment(a, a + n) for a, n in zip(starts.tolist(), lengths[keep].tolist()))
     return FlipDictionary(direction, segments, _DirectionIndex(ids, bound, changed, source.data, starts))
@@ -274,8 +275,8 @@ def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _first_windows(ids, bound, starts, lengths, width, seg) -> tuple[np.ndarray, np.ndarray]:
-    """(start, width) of the first window in data of each distinct content of each width.
+def _first_windows(ids, bound, starts, lengths, width, seg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, width, segment) of the first window in data of each distinct content of each width.
 
     The windows are those of width ``width[i]`` in segment ``seg[i]``, which
     starts at ``starts[seg[i]]`` in data; the pairs are ordered by width and
@@ -283,10 +284,9 @@ def _first_windows(ids, bound, starts, lengths, width, seg) -> tuple[np.ndarray,
     position) order, and so do the firsts.
     """
     spread = lengths[seg] - width + 1
-    start, width = _ranges(starts[seg], spread), np.repeat(width, spread)
-    keys = _content_keys(ids, bound, start, width)
-    kept = _first_by_content(width, keys, np.zeros_like(width))
-    return start[kept], width[kept]
+    start, width, seg = _ranges(starts[seg], spread), np.repeat(width, spread), np.repeat(seg, spread)
+    kept = _first_by_content(width, _content_keys(ids, bound, start, width))
+    return start[kept], width[kept], seg[kept]
 
 
 def _runs(windows: np.ndarray, short: np.ndarray, long: np.ndarray, w: np.ndarray):
@@ -294,44 +294,45 @@ def _runs(windows: np.ndarray, short: np.ndarray, long: np.ndarray, w: np.ndarra
     ``w[r]`` symbols of ``windows[short[r]]`` and ``windows[long[r]]`` agree.
 
     ``w`` is ascending: the last row is the widest, and ``windows`` has a
-    column more than it. The rows lie end to end in one buffer, each followed
-    by a cleared separator column, so one 1-D scan finds every run; a run is
-    then clipped to its own row's width.
+    column more than it. The rows lie end to end in one buffer with every
+    cell at or past the row's own width cleared, so a run of cells that agree
+    with their right neighbour is exactly an agreement run of length >= 2
+    less its last cell, and one 1-D scan finds each one whole.
     """
-    width = int(w[-1]) + 1  # with the separator
+    width = int(w[-1]) + 1  # a cleared column past the widest row
     flat = np.empty(1 + len(w) * width, dtype=bool)
     flat[0] = False  # every run starts and ends
     agree = flat[1:].reshape(len(w), width)
     np.equal(windows[short, :width], windows[long, :width], out=agree)
-    agree[:, -1] = False
-    edges = np.flatnonzero(flat[1:] != flat[:-1])  # run starts and ends alternate
+    cut = (np.flatnonzero(w[1:] != w[:-1]) + 1).tolist()  # w ascends, so its equal widths come together
+    for lo, hi in zip([0, *cut], [*cut, len(w)]):
+        agree[lo:hi, w[lo] :] = False  # a slice per width: a broadcast mask took twice as long
+    both = flat[1:] & flat[:-1]  # both[i]: cells i - 1 and i of the rows agree
+    edges = np.flatnonzero(both[1:] != both[:-1])  # run starts and ends alternate
     hits, begin = np.divmod(edges[::2], width)
-    size = np.minimum(edges[1::2] - edges[::2], w[hits] - begin)
-    run = size >= MIN_PATTERN_LEN
-    return hits[run], begin[run], size[run]
+    return hits, begin, edges[1::2] - edges[::2] + 1
 
 
-def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, bound):
-    """Yield batches of (length, pair, start) rows, one per agreement run.
+def _row_plan(starts: np.ndarray, lengths: np.ndarray, ids, bound):
+    """Yield, a chunk at a time, (member, member start, partner start, partner,
+    width) of each row that extraction compares, in extraction order.
 
-    For each segment pair i < j (``pair`` = i * count + j) the shorter segment,
-    the earlier on a tie, slides over the longer at every full-overlap offset;
-    every maximal agreement run of length >= 2 is located by ``start`` in
-    ``data``, where segment i starts at ``starts[i]``. A segment u of width w
-    is compared with each later segment of width w, and with each distinct
-    w-window of the strictly longer segments only at its first position in
-    ``data``: the starts ascend with the index, so for u ``data`` orders the
-    windows by (pair, offset), and a window that repeats an earlier one adds
-    no run whose content was not met before. Widths go in ascending order, their windows are keyed about
-    ``_CHUNK // 8`` at a time, and the rows of all of them are compared a
-    chunk at a time. A pair's runs come out in extraction order.
+    For each segment pair i < j the shorter segment, the earlier on a tie, is
+    the row's member; it slides over the longer, its partner, at every
+    full-overlap offset. Segment i starts at ``starts[i]`` in the data. A
+    member u of width w is compared with each later segment of width w, and
+    with each distinct w-window of the strictly longer segments only at its
+    first position in the data: the starts ascend with the index, so for u
+    the data orders the windows by (pair, offset), and a window that repeats
+    an earlier one adds no run whose content was not met before. So a member
+    has as many rows as it has later members of its width plus distinct
+    windows of that width in the longer segments. Widths go in ascending
+    order and their windows are keyed about ``_CHUNK // 8`` at a time; a
+    chunk holds at most ``_CHUNK // (w + 16)`` rows, w its widest row's width.
     """
     count = len(lengths)
     by_length = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[by_length]
-    longest = int(sorted_lengths[-2])
-    # a column past the widest row, for _runs' separator
-    windows = sliding_window_view(np.frombuffer(data + bytes(longest), dtype=np.uint8), longest + 1)
     low = int(np.searchsorted(sorted_lengths, MIN_PATTERN_LEN))
     widths, group_starts = np.unique(sorted_lengths[low:], return_index=True)
     group_starts += low
@@ -339,8 +340,6 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
     longer = count - group_ends  # segments strictly longer than each width
     tails = np.append(np.cumsum(sorted_lengths[::-1])[::-1], 0)
     window_ends = np.cumsum(tails[group_ends] - longer * (widths - 1))
-    pending: list[np.ndarray] = []
-    found = 0
     ga = 0
     while ga < len(widths):
         before = int(window_ends[ga - 1]) if ga else 0
@@ -348,7 +347,7 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
         # each width in [ga, gb) with each longer segment, by width and then index
         group = np.repeat(np.arange(ga, gb), longer[ga:gb])
         pairs = np.sort(group * count + by_length[_ranges(group_ends[ga:gb], longer[ga:gb])])
-        start, width = _first_windows(ids, bound, starts, lengths, widths[pairs // count], pairs % count)
+        start, width, seg = _first_windows(ids, bound, starts, lengths, widths[pairs // count], pairs % count)
         group = np.searchsorted(widths, width) - ga
         # each width's partners are its members, then its distinct windows;
         # a member faces the partners after its own place
@@ -358,8 +357,9 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
         member_group = np.repeat(np.arange(gb - ga), n_members)
         own = np.arange(len(members)) + (np.cumsum(n_windows) - n_windows)[member_group]
         place = np.arange(len(start)) + np.cumsum(n_members)[group]
-        partner_start = np.empty(len(own) + len(place), dtype=np.int64)
+        partner_start, partner = np.empty((2, len(own) + len(place)), dtype=np.int64)
         partner_start[own], partner_start[place] = starts[members], start
+        partner[own], partner[place] = members, seg
         row_ends = np.append(0, np.cumsum(np.cumsum(n_members + n_windows)[member_group] - own - 1))
         member_width = lengths[members]
         room = np.maximum(1, _CHUNK // (member_width + 16))  # rows of each member's width per chunk
@@ -370,17 +370,34 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
             last = min(last, first + int(room[np.searchsorted(row_ends, last - 1, side="right") - 1]))
             row = np.arange(first, last)
             t = np.searchsorted(row_ends, row, side="right") - 1
-            at = partner_start[own[t] + 1 + row - row_ends[t]]
-            hits, begin, size = _runs(windows, partner_start[own[t]], at, member_width[t])
-            short, long = members[t[hits]], np.searchsorted(starts, at[hits], side="right") - 1
-            pair = np.minimum(short, long) * count + np.maximum(short, long)
-            pending.append(np.stack((size, pair, at[hits] + begin)))
-            found += len(hits)
-            if found >= _CHUNK // 32:
-                yield np.concatenate(pending, axis=1)
-                pending, found = [], 0
+            at = own[t] + 1 + row - row_ends[t]
+            yield members[t], partner_start[own[t]], partner_start[at], partner[at], member_width[t]
             first = last
         ga = gb
+
+
+def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, bound):
+    """Yield batches of (length, pair, start) rows, one per agreement run.
+
+    Each chunk of ``_row_plan`` is compared by ``_runs``; a run's pair is
+    ``min * count + max`` of its row's member and partner, and ``start``
+    places it in the partner, in ``data``, where segment i starts at
+    ``starts[i]``. Batches hold about ``_CHUNK // 32`` runs, and a pair's
+    runs come out in extraction order.
+    """
+    count = len(lengths)
+    longest = int(lengths.max())  # a column past the widest row, for _runs
+    windows = sliding_window_view(np.frombuffer(data + bytes(longest), dtype=np.uint8), longest + 1)
+    pending, found = [], 0
+    for member, member_start, partner_start, partner, w in _row_plan(starts, lengths, ids, bound):
+        hits, begin, size = _runs(windows, member_start, partner_start, w)
+        member, partner = member[hits], partner[hits]
+        pair = np.minimum(member, partner) * count + np.maximum(member, partner)
+        pending.append(np.stack((size, pair, partner_start[hits] + begin)))
+        found += len(hits)
+        if found >= _CHUNK // 32:
+            yield np.concatenate(pending, axis=1)
+            pending, found = [], 0
     if pending:
         yield np.concatenate(pending, axis=1)
 
@@ -469,7 +486,7 @@ def _level_starts(level: np.ndarray, left: np.ndarray, bound: int) -> np.ndarray
     mark[left] = True
     if mark.all():  # every position qualifies
         return None
-    hit = mark[level]
+    hit = np.take(mark, level)
     # past about half, the starts cost more than the full scan: on a 30k
     # 4-ary cause's level 2 (four lengths) 1.31 against 1.19 ms at a share
     # of 0.50, 0.91 against 1.11 ms at 0.375 (2-core VM, numpy 2.4.6)

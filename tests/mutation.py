@@ -60,10 +60,10 @@ MUTANTS = (
     ),
     Mutant(
         "single-symbol-runs", "src/dpe/core.py",
-        "run = size >= MIN_PATTERN_LEN",
-        "run = size > MIN_PATTERN_LEN",
-        "an agreement run of exactly two symbols is a pattern",
-        ("tests/test_kernels.py::TestExtractionOrder",),
+        "both = flat[1:] & flat[:-1]",
+        "both = flat[1:] & flat[1:]",
+        "a pattern is an agreement run of at least two symbols, so the scan reads pairs of neighbouring cells",
+        ("tests/test_kernels.py::TestRuns", "tests/test_kernels.py::TestExtractionOrder"),
     ),
     Mutant(
         "unhashable-counts", "src/dpe/core.py",
@@ -146,18 +146,25 @@ MUTANTS = (
         ("tests/test_kernels.py::TestContentKeys",),
     ),
     Mutant(
-        "separator-kept", "src/dpe/core.py",
-        "agree[:, -1] = False",
-        "pass",
-        "each row ends at a cleared column, so no run crosses into the next row",
+        "width-mask-inclusive", "src/dpe/core.py",
+        "agree[lo:hi, w[lo] :] = False",
+        "agree[lo:hi, w[lo] + 1 :] = False",
+        "a row compares only its own width and ends in a cleared cell, so no run passes it or crosses rows",
         ("tests/test_kernels.py::TestRuns",),
     ),
     Mutant(
-        "run-not-clipped", "src/dpe/core.py",
-        "size = np.minimum(edges[1::2] - edges[::2], w[hits] - begin)",
-        "size = edges[1::2] - edges[::2]",
-        "a row compares only its own width: agreement past it belongs to no pattern",
-        ("tests/test_kernels.py::TestRuns",),
+        "run-size-short", "src/dpe/core.py",
+        "edges[1::2] - edges[::2] + 1",
+        "edges[1::2] - edges[::2]",
+        "a run of agreeing neighbours one cell shorter than its agreement run ends at that run's last cell",
+        ("tests/test_kernels.py::TestRuns", "tests/test_kernels.py::TestExtractionOrder"),
+    ),
+    Mutant(
+        "partner-read-as-member", "src/dpe/core.py",
+        "member, partner = member[hits], partner[hits]",
+        "member, partner = member[hits], member[hits]",
+        "a run's pair is its row's member and the partner segment the plan carries",
+        ("tests/test_kernels.py::TestExtractionOrder", "tests/test_kernels.py::TestExtractionRows"),
     ),
     Mutant(
         "weight-window-count", "src/dpe/core.py",

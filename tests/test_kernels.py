@@ -41,7 +41,9 @@ from dpe.core import (
     response_determinism,
     score_direction,
 )
+from dpe.rng import RngStream
 from dpe.seqcore import SymbolSequence
+from dpe.synth import gen_ar1
 
 BUDGETS = (8, 24, 100, 600, 3000, core._CHUNK)
 CHUNKS = st.sampled_from(BUDGETS)
@@ -225,7 +227,7 @@ class TestFirstByContent:
 
 
 def naive_first_windows(segments, pairs):
-    """(start, width) of the first window in data of each (width, content), pairs taken in order."""
+    """(start, width, segment) of the first window in data of each (width, content), pairs taken in order."""
     data, offsets = b"".join(segments), [0]
     for segment in segments:
         offsets.append(offsets[-1] + len(segment))
@@ -234,7 +236,7 @@ def naive_first_windows(segments, pairs):
         for start in range(offsets[s], offsets[s + 1] - w + 1):
             if (w, data[start : start + w]) not in seen:
                 seen.add((w, data[start : start + w]))
-                out.append((start, w))
+                out.append((start, w, s))
     return out
 
 
@@ -265,8 +267,8 @@ class TestFirstWindows:
         lengths = np.array([len(s) for s in segments], dtype=np.int64)
         width, seg = (np.array(column, dtype=np.int64) for column in zip(*pairs))
         with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
-            start, width = core._first_windows(ids, bound, np.cumsum(lengths) - lengths, lengths, width, seg)
-        assert list(zip(start.tolist(), width.tolist())) == naive_first_windows(segments, pairs)
+            firsts = core._first_windows(ids, bound, np.cumsum(lengths) - lengths, lengths, width, seg)
+        assert list(zip(*(column.tolist() for column in firsts))) == naive_first_windows(segments, pairs)
         assert lexsort.called == wide
 
 
@@ -277,20 +279,54 @@ def crowded_segment_lists(draw):
     return draw(st.lists(words(palette, max_size=12), max_size=25))
 
 
+def naive_row_plan(index, lengths):
+    """Each (pair, offset) row that can yield a run not met before, in extraction order,
+    as (member, member start, partner start, partner, width): by width and then member,
+    each member facing its later equal-width segments and then every window of the
+    strictly longer segments whose content no earlier window of theirs holds."""
+    data, starts, rows = index.data, index.starts.tolist(), []
+    for w, u in sorted((n, i) for i, n in enumerate(lengths) if n >= core.MIN_PATTERN_LEN):
+        partners = [(starts[v], v) for v in range(u + 1, len(lengths)) if lengths[v] == w]
+        seen = set()
+        for v in (v for v in range(len(lengths)) if lengths[v] > w):
+            for at in range(starts[v], starts[v] + lengths[v] - w + 1):
+                if data[at : at + w] not in seen:
+                    seen.add(data[at : at + w])
+                    partners.append((at, v))
+        rows += [(u, starts[u], at, v, w) for at, v in partners]
+    return rows
+
+
+def planned_rows(index, lengths):
+    """The rows of ``core._row_plan``, each chunk checked against its budget of
+    ``_CHUNK // (w + 16)`` rows, w its widest row's width."""
+    rows = []
+    for chunk in core._row_plan(index.starts, np.array(lengths, dtype=np.int64), index.ids, index.bound):
+        assert len(chunk[-1]) <= max(1, core._CHUNK // (int(chunk[-1][-1]) + 16))
+        rows += zip(*(column.tolist() for column in chunk))
+    return rows
+
+
 def check_every_budget(segments, want=None):
     """Both sources at every budget: packed, and scattered in a cause that opens with
-    the segments in reverse and parts them with 0-2 copies of a filler symbol."""
+    the segments in reverse and parts them with 0-2 copies of a filler symbol. The
+    row plan of each source matches the per-(pair, offset) reference too."""
     want = naive_pattern_order(segments) if want is None else want
     assert want == naive_pattern_order(segments)
     gaps = [b"".join(reversed(segments))] + [b"\x07" * (i % 3) for i in range(1, len(segments))]
+    lengths = [len(s) for s in segments]
+    sources = [scattered(segments, [b""] * len(segments)), scattered(segments, gaps)]
+    plans = [naive_row_plan(index, lengths) for index in sources]
     for chunk in BUDGETS:
         with mock.patch.object(core, "_CHUNK", chunk):
             assert extracted(segments) == want
-            assert extracted(segments, scattered(segments, gaps)) == want
+            assert extracted(segments, sources[1]) == want
+            assert [planned_rows(index, lengths) for index in sources] == plans
 
 
 class TestExtractionRows:
-    """A segment meets each distinct window of the longer segments once, at its first place."""
+    """A segment meets each distinct window of the longer segments once, at its first place;
+    the row plan carries each row's partner segment, checked at every budget."""
 
     def test_first_holder_in_data_is_the_longer_one(self):
         # "abqr" is a window of both longer segments: the first in data is the
@@ -372,12 +408,39 @@ def run_chunks(draw):
     return windows, short, long, w
 
 
+def agreeing(cells):
+    """(windows, short, long) whose row r agrees exactly at the columns where ``cells[r]``
+    holds a 1: the short window reads zeros, the long one zeros there and ones elsewhere."""
+    span = len(cells[0])
+    data = b"".join(bytes(span) + bytes(int(c == "0") for c in row) for row in cells)
+    short = np.arange(0, 2 * span * len(cells), 2 * span)
+    return sliding_window_view(np.frombuffer(data, dtype=np.uint8), span), short, short + span
+
+
 class TestRuns:
-    """One scan of the rows laid end to end, clipped per row, against a per-row scan."""
+    """One scan of the rows laid end to end, each cleared at and past its own width,
+    against a per-row scan."""
 
     @given(run_chunks())
     def test_matches_per_row_scan(self, chunk):
         assert runs(*chunk) == runs_by_row(*chunk)
+
+    @pytest.mark.parametrize("cells, w, want", (
+        # agreement goes on past the narrower row's width, and into the separator column
+        (["1111111", "0111111"], [3, 6], [(0, 0, 3), (1, 1, 5)]),
+        # a run of exactly 2 ends at its row's width, the agreement going on past it
+        (["0011111", "1101100"], [4, 6], [(0, 2, 2), (1, 0, 2), (1, 3, 2)]),
+        # every row is 2 wide and agrees into the separator; the last agrees in one cell
+        (["111", "111", "011"], [2, 2, 2], [(0, 0, 2), (1, 0, 2)]),
+        # one agreeing cell at a row's end, then agreement at the next row's start
+        (["0111", "1100"], [2, 3], [(1, 0, 2)]),
+        (["0011", "1000", "1101"], [3, 3, 3], [(2, 0, 2)]),
+    ))
+    def test_cells_at_and_past_each_width_are_cleared(self, cells, w, want):
+        windows, short, long = agreeing(cells)
+        w = np.array(w, dtype=np.int64)
+        assert runs(windows, short, long, w) == want
+        assert runs_by_row(windows, short, long, w) == want
 
     def test_runs_at_row_ends(self):
         # rows of width 2, 2, 4 and 6: rows 0-2 compare two windows that agree in
@@ -952,6 +1015,55 @@ def test_many_short_segments_stay_within_a_memory_cap(gaps, n_patterns, digest):
     assert len(patterns) == n_patterns
     assert hashlib.sha256(b"|".join(p.data for p in patterns)).hexdigest() == digest
     assert peak < 4 * 1024 * 1024
+
+
+def adversarial_pair(n, seed=3):
+    """A uniform binary cause of n symbols and an effect that flips every 30-60 symbols:
+    its segments are nearly all distinct, so each faces nearly every window of the
+    longer ones: the adversarial shape, the worst known for extraction."""
+    rng = random.Random(seed)
+    cause = bytes(rng.randrange(2) for _ in range(n))
+    effect, symbol = b"", 0
+    while len(effect) < n:
+        effect += bytes([symbol]) * rng.randint(30, 60)
+        symbol ^= 1
+    return SymbolSequence(cause, 2), SymbolSequence(effect[:n], 2)
+
+
+def work_bound(segments):
+    """The rows README bounds extraction by: per segment of width w >= 2, its later
+    segments of width w plus the distinct w-windows of the strictly longer segments."""
+    distinct = {
+        w: len({v[a : a + w] for v in segments if len(v) > w for a in range(len(v) - w + 1)})
+        for w in {len(u) for u in segments}
+    }
+    widths = [len(u) for u in segments]
+    return sum(widths[i + 1 :].count(w) + distinct[w] for i, w in enumerate(widths) if w >= core.MIN_PATTERN_LEN)
+
+
+@pytest.mark.parametrize("shape, rows, every_offset", (
+    # 43 segments of 30-60 symbols from a uniform cause: every window is distinct
+    ("adversarial", 11_229, 11_229),
+    # 112 segments: most windows repeat an earlier one
+    ("ar1", 19_359, 88_425),
+))
+def test_rows_compared_meet_the_work_bound(shape, rows, every_offset):
+    # 2,000 symbols; every_offset counts the rows of every (pair, offset), which a
+    # plan that kept the repeated windows would compare
+    if shape == "ar1":
+        pair = gen_ar1(0.4, 2500, 500, RngStream(1, 0))
+        cause, effect = pair.y, pair.x
+    else:
+        cause, effect = adversarial_pair(2000)
+    dictionary = build_flip_dictionary(cause, effect)
+    segments = [s.data for s in dictionary.segments]
+    lengths = np.array([len(s) for s in segments], dtype=np.int64)
+    index = dictionary.index
+    planned = sum(len(chunk[0]) for chunk in core._row_plan(index.starts, lengths, index.ids, index.bound))
+    assert planned == work_bound(segments) == rows
+    widths = lengths.tolist()
+    pairs = ((a, b) for i, a in enumerate(widths) for b in widths[i + 1 :] if min(a, b) >= core.MIN_PATTERN_LEN)
+    assert sum(abs(a - b) + 1 for a, b in pairs) == every_offset
 
 
 def genome_pair(n, rate, seed):
