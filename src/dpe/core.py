@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .seqcore import Direction, SymbolSequence
@@ -175,9 +174,9 @@ def _block_ids(arr: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
             continue
         pair = np.multiply(ids[k - 1, :m], bound[-1], dtype=np.int64)
         pair += ids[k - 1, half : half + m]
-        order = np.argsort(pair, kind="stable")
+        order = pair.argsort(kind="stable")
         ranked = pair[order]
-        np.cumsum(ranked[1:] != ranked[:-1], out=ranked[1:])
+        (ranked[1:] != ranked[:-1]).cumsum(out=ranked[1:])
         ranked[0] = 0
         pair[order] = ranked
         bound.append(int(ranked[-1]) + 1)
@@ -199,10 +198,10 @@ def _content_keys(ids: np.ndarray, bound: np.ndarray, starts, lengths) -> np.nda
     k = np.subtract(np.frexp(lengths)[1], 1, dtype=np.int64)
     at = k * ids.shape[1] + starts
     key = bound[k]
-    key *= np.take(ids, at)
+    key *= ids.take(at)
     at += lengths
     at -= np.left_shift(1, k, out=k)
-    key += np.take(ids, at)
+    key += ids.take(at)
     return key
 
 
@@ -226,8 +225,9 @@ def _first_by_content(lengths: np.ndarray, keys: np.ndarray, rank: np.ndarray | 
         lengths, keys = lengths[idx], keys[idx]
         head = np.ones(len(idx), dtype=bool)
         head[1:] = (lengths[1:] != lengths[:-1]) | (keys[1:] != keys[:-1])
-        first = np.sort(idx[head])
-        return first if rank is None else first[np.argsort(rank[first], kind="stable")]
+        first = idx[head]
+        first.sort()
+        return first if rank is None else first[rank[first].argsort(kind="stable")]
     packed = np.left_shift(lengths, key_bits + low, dtype=np.int64)
     packed |= keys << low
     if rank is not None:
@@ -257,12 +257,12 @@ def build_flip_dictionary(
         raise ValueError("dictionary construction needs length >= 2")
     changed = _changes(target.data)
     # replacing left to right without overlap clears the flips at odd places of each run
-    stops = np.flatnonzero(np.frombuffer(changed.tobytes().replace(b"\1\1", b"\1\0"), dtype=bool))
+    stops = np.frombuffer(changed.tobytes().replace(b"\1\1", b"\1\0"), dtype=bool).nonzero()[0]
     stops += 2  # flag i marks symbol i + 1, which ends its segment
     if len(stops) == 0:
         return FlipDictionary(direction, ())
-    lengths = np.diff(stops, prepend=0)
-    starts = np.subtract(stops, lengths, out=stops)  # the stops are not read again
+    starts = np.concatenate(([0], stops[:-1]))  # each segment starts where the one before stops
+    lengths = np.subtract(stops, starts, out=stops)  # the stops are not read again
     ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(lengths.max()))
     keep = _first_by_content(lengths, _content_keys(ids, bound, starts, lengths))
     starts = starts[keep]  # still ascending
@@ -272,7 +272,7 @@ def build_flip_dictionary(
 
 def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges ``[first, first + count)``, concatenated."""
-    return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    return (firsts - (counts.cumsum() - counts)).repeat(counts) + np.arange(counts.sum())
 
 
 def _first_windows(ids, bound, starts, lengths, width, seg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,7 +284,7 @@ def _first_windows(ids, bound, starts, lengths, width, seg) -> tuple[np.ndarray,
     position) order, and so do the firsts.
     """
     spread = lengths[seg] - width + 1
-    start, width, seg = _ranges(starts[seg], spread), np.repeat(width, spread), np.repeat(seg, spread)
+    start, width, seg = _ranges(starts[seg], spread), width.repeat(spread), seg.repeat(spread)
     kept = _first_by_content(width, _content_keys(ids, bound, start, width))
     return start[kept], width[kept], seg[kept]
 
@@ -304,11 +304,11 @@ def _runs(windows: np.ndarray, short: np.ndarray, long: np.ndarray, w: np.ndarra
     flat[0] = False  # every run starts and ends
     agree = flat[1:].reshape(len(w), width)
     np.equal(windows[short, :width], windows[long, :width], out=agree)
-    cut = (np.flatnonzero(w[1:] != w[:-1]) + 1).tolist()  # w ascends, so its equal widths come together
+    cut = ((w[1:] != w[:-1]).nonzero()[0] + 1).tolist()  # w ascends, so its equal widths come together
     for lo, hi in zip([0, *cut], [*cut, len(w)]):
         agree[lo:hi, w[lo] :] = False  # a slice per width: a broadcast mask took twice as long
     both = flat[1:] & flat[:-1]  # both[i]: cells i - 1 and i of the rows agree
-    edges = np.flatnonzero(both[1:] != both[:-1])  # run starts and ends alternate
+    edges = (both[1:] != both[:-1]).nonzero()[0]  # run starts and ends alternate
     hits, begin = np.divmod(edges[::2], width)
     return hits, begin, edges[1::2] - edges[::2] + 1
 
@@ -331,45 +331,47 @@ def _row_plan(starts: np.ndarray, lengths: np.ndarray, ids, bound):
     chunk holds at most ``_CHUNK // (w + 16)`` rows, w its widest row's width.
     """
     count = len(lengths)
-    by_length = np.argsort(lengths, kind="stable")
+    by_length = lengths.argsort(kind="stable")
     sorted_lengths = lengths[by_length]
-    low = int(np.searchsorted(sorted_lengths, MIN_PATTERN_LEN))
-    widths, group_starts = np.unique(sorted_lengths[low:], return_index=True)
-    group_starts += low
-    group_ends = np.append(group_starts[1:], count)
+    low = int(sorted_lengths.searchsorted(MIN_PATTERN_LEN))
+    previous = np.concatenate(([0], sorted_lengths))  # each length's predecessor, 0 before the first
+    group_starts = (sorted_lengths[low:] != previous[low:-1]).nonzero()[0] + low  # each width's first
+    widths = sorted_lengths[group_starts]
+    group_ends = np.concatenate((group_starts[1:], [count]))
     longer = count - group_ends  # segments strictly longer than each width
-    tails = np.append(np.cumsum(sorted_lengths[::-1])[::-1], 0)
-    window_ends = np.cumsum(tails[group_ends] - longer * (widths - 1))
+    tails = np.concatenate((sorted_lengths[::-1].cumsum()[::-1], [0]))
+    window_ends = (tails[group_ends] - longer * (widths - 1)).cumsum()
     ga = 0
     while ga < len(widths):
         before = int(window_ends[ga - 1]) if ga else 0
-        gb = max(ga + 1, int(np.searchsorted(window_ends, before + _CHUNK // 8, side="right")))
+        gb = max(ga + 1, int(window_ends.searchsorted(before + _CHUNK // 8, side="right")))
         # each width in [ga, gb) with each longer segment, by width and then index
-        group = np.repeat(np.arange(ga, gb), longer[ga:gb])
-        pairs = np.sort(group * count + by_length[_ranges(group_ends[ga:gb], longer[ga:gb])])
+        group = np.arange(ga, gb).repeat(longer[ga:gb])
+        pairs = group * count + by_length[_ranges(group_ends[ga:gb], longer[ga:gb])]
+        pairs.sort()
         start, width, seg = _first_windows(ids, bound, starts, lengths, widths[pairs // count], pairs % count)
-        group = np.searchsorted(widths, width) - ga
+        group = widths.searchsorted(width) - ga
         # each width's partners are its members, then its distinct windows;
         # a member faces the partners after its own place
         n_members = group_ends[ga:gb] - group_starts[ga:gb]
         n_windows = np.bincount(group, minlength=gb - ga)
         members = by_length[group_starts[ga] : group_ends[gb - 1]]
-        member_group = np.repeat(np.arange(gb - ga), n_members)
-        own = np.arange(len(members)) + (np.cumsum(n_windows) - n_windows)[member_group]
-        place = np.arange(len(start)) + np.cumsum(n_members)[group]
+        member_group = np.arange(gb - ga).repeat(n_members)
+        own = np.arange(len(members)) + (n_windows.cumsum() - n_windows)[member_group]
+        place = np.arange(len(start)) + n_members.cumsum()[group]
         partner_start, partner = np.empty((2, len(own) + len(place)), dtype=np.int64)
         partner_start[own], partner_start[place] = starts[members], start
         partner[own], partner[place] = members, seg
-        row_ends = np.append(0, np.cumsum(np.cumsum(n_members + n_windows)[member_group] - own - 1))
+        row_ends = np.concatenate(([0], ((n_members + n_windows).cumsum()[member_group] - own - 1).cumsum()))
         member_width = lengths[members]
         room = np.maximum(1, _CHUNK // (member_width + 16))  # rows of each member's width per chunk
         first, total = 0, int(row_ends[-1])
         while first < total:
             # rows come by width: size the chunk by its first row, then by its last and widest
-            last = min(total, first + int(room[np.searchsorted(row_ends, first, side="right") - 1]))
-            last = min(last, first + int(room[np.searchsorted(row_ends, last - 1, side="right") - 1]))
+            last = min(total, first + int(room[row_ends.searchsorted(first, side="right") - 1]))
+            last = min(last, first + int(room[row_ends.searchsorted(last - 1, side="right") - 1]))
             row = np.arange(first, last)
-            t = np.searchsorted(row_ends, row, side="right") - 1
+            t = row_ends.searchsorted(row, side="right") - 1
             at = own[t] + 1 + row - row_ends[t]
             yield members[t], partner_start[own[t]], partner_start[at], partner[at], member_width[t]
             first = last
@@ -387,13 +389,14 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
     """
     count = len(lengths)
     longest = int(lengths.max())  # a column past the widest row, for _runs
-    windows = sliding_window_view(np.frombuffer(data + bytes(longest), dtype=np.uint8), longest + 1)
+    buf = np.frombuffer(data + bytes(longest), dtype=np.uint8)
+    windows = np.lib.stride_tricks.as_strided(buf, (len(data), longest + 1), (1, 1), writeable=False)
     pending, found = [], 0
     for member, member_start, partner_start, partner, w in _row_plan(starts, lengths, ids, bound):
         hits, begin, size = _runs(windows, member_start, partner_start, w)
         member, partner = member[hits], partner[hits]
         pair = np.minimum(member, partner) * count + np.maximum(member, partner)
-        pending.append(np.stack((size, pair, partner_start[hits] + begin)))
+        pending.append(np.array((size, pair, partner_start[hits] + begin)))
         found += len(hits)
         if found >= _CHUNK // 32:
             yield np.concatenate(pending, axis=1)
@@ -414,16 +417,18 @@ def _pattern_bytes(segment_data: list[bytes], index: _DirectionIndex | None = No
     keeps the table in extraction order.
     """
     lengths = np.array([len(s) for s in segment_data], dtype=np.int64)
-    longest = int(np.sort(lengths)[-2]) if len(lengths) > 1 else 0  # of any run
+    ordered = lengths.copy()
+    ordered.sort()
+    longest = int(ordered[-2]) if len(ordered) > 1 else 0  # of any run
     table = np.zeros((4, 0), dtype=np.int64)  # rows: length, key, pair, start
     if longest >= MIN_PATTERN_LEN:
         if index is None:
             data = b"".join(segment_data)
             ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), longest)
-            index = _DirectionIndex(ids, bound, None, data, np.cumsum(lengths) - lengths)
+            index = _DirectionIndex(ids, bound, None, data, lengths.cumsum() - lengths)
         ids, bound, _, data, starts = index
         for size, pair, start in _agreement_runs(data, starts, lengths, ids, bound):
-            keyed = np.stack((size, _content_keys(ids, bound, start, size), pair, start))
+            keyed = np.array((size, _content_keys(ids, bound, start, size), pair, start))
             table = np.concatenate((table, keyed), axis=1)
             table = table[:, _first_by_content(*table[:3])]
     return table[[0, 1, 3]].T
@@ -470,7 +475,7 @@ def _sorted_lookup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``bins[j]``, plus 1 when its effect window flips; of equal keys the first
     wins, as the sort is stable.
     """
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     return keys[order], 2 * order + 2
 
 
@@ -486,13 +491,11 @@ def _level_starts(level: np.ndarray, left: np.ndarray, bound: int) -> np.ndarray
     mark[left] = True
     if mark.all():  # every position qualifies
         return None
-    hit = np.take(mark, level)
+    starts = mark.take(level).nonzero()[0]
     # past about half, the starts cost more than the full scan: on a 30k
     # 4-ary cause's level 2 (four lengths) 1.31 against 1.19 ms at a share
     # of 0.50, 0.91 against 1.11 ms at 0.375 (2-core VM, numpy 2.4.6)
-    if 2 * np.count_nonzero(hit) >= len(level):
-        return None
-    return np.flatnonzero(hit)
+    return None if 2 * len(starts) >= len(level) else starts
 
 
 def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -525,16 +528,18 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
     if not len(lengths):
         return n_occ, n_change
     prefix = np.zeros(n, dtype=np.intp)  # flips before each index
-    np.cumsum(changed, out=prefix[1:])
+    changed.cumsum(out=prefix[1:])
     # shared because zeroing a fresh table of up to _CHUNK entries for every
     # length costs more than the lookups: it took a sweep-size ar1 pair from
     # 7.6 to 10.2 ms (2-core VM, Python 3.11.7, numpy 2.4.6)
     table = np.zeros(0, dtype=np.intp)  # bincount's own bin type
-    by_length = np.argsort(lengths, kind="stable")
+    by_length = lengths.argsort(kind="stable")
     sorted_lengths = lengths[by_length]
+    cut = ((sorted_lengths[1:] != sorted_lengths[:-1]).nonzero()[0] + 1).tolist()
     counted = []  # each length's bins past the miss, in by_length order
     k_starts = -1  # the level whose starts are kept, freed before the next
-    for members in np.split(by_length, np.flatnonzero(np.diff(sorted_lengths)) + 1):
+    for begin, end in zip([0, *cut], [*cut, len(lengths)]):
+        members = by_length[begin:end]
         length = int(lengths[members[0]])
         k = length.bit_length() - 1
         level, lag = ids[k], length - (1 << k)  # window key from the blocks at s and s + lag
@@ -542,7 +547,7 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
             k_starts, starts = k, None
             m = n - (1 << k) + 1  # blocks of this level
             if m > _CHUNK // 8 and bound[k] <= _CHUNK:
-                lo, hi = np.searchsorted(sorted_lengths, (1 << k, 2 << k))
+                lo, hi = sorted_lengths.searchsorted((1 << k, 2 << k))
                 starts = _level_starts(level[:m], keys[by_length[lo:hi]] // bound[k], int(bound[k]))
         member_keys = keys[members]
         space = int(bound[k]) ** 2  # every window key of this length is below it
@@ -554,7 +559,7 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
         else:
             ranked, found = _sorted_lookup(member_keys)
         counts = np.zeros(2 * len(members) + 2, dtype=np.intp)  # a miss, then (steady, flipped) bins
-        total = n - length + 1 if starts is None else int(np.searchsorted(starts, n - length, side="right"))
+        total = n - length + 1 if starts is None else int(starts.searchsorted(n - length, side="right"))
         for first in range(0, total, _CHUNK // 8):
             last = min(first + _CHUNK // 8, total)
             if starts is None:
@@ -570,8 +575,8 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
                 bins = table[window]
                 bins += tail > head
             else:
-                at = np.minimum(np.searchsorted(ranked, window), len(ranked) - 1)
-                hit = np.flatnonzero(ranked[at] == window)
+                at = np.minimum(ranked.searchsorted(window), len(ranked) - 1)
+                hit = (ranked[at] == window).nonzero()[0]
                 bins = found[at[hit]]
                 bins += tail[hit] > head[hit]
             counts += np.bincount(bins, minlength=len(counts))

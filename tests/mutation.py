@@ -102,8 +102,8 @@ MUTANTS = (
     ),
     Mutant(
         "start-half-boundary", "src/dpe/core.py",
-        "if 2 * np.count_nonzero(hit) >= len(level):",
-        "if 2 * np.count_nonzero(hit) > len(level):",
+        "return None if 2 * len(starts) >= len(level) else starts",
+        "return None if 2 * len(starts) > len(level) else starts",
         "a level where half of the positions or more are starts takes the full scan",
         ("tests/test_kernels.py::TestStartFilter",),
     ),
@@ -126,8 +126,8 @@ MUTANTS = (
     ),
     Mutant(
         "start-cut-side", "src/dpe/core.py",
-        'np.searchsorted(starts, n - length, side="right")',
-        'np.searchsorted(starts, n - length, side="left")',
+        'starts.searchsorted(n - length, side="right")',
+        'starts.searchsorted(n - length, side="left")',
         "a window of length L may start at n - L, so a pattern ending at the cause's last symbol counts there",
         ("tests/test_kernels.py::TestStartFilter",),
     ),

@@ -1,8 +1,13 @@
-"""Every module-level import in ``src/dpe`` is used by the module that makes it.
+"""Every module-level import in ``src/dpe`` is used by the module that makes it,
+and the kernels call no numpy wrapper that an ndarray method replaces.
 
 ``__init__.py`` is exempt, as it imports names to re-export them, and so is
 ``from __future__``. A name that only a docstring or comment mentions is
 unused.
+
+At sweep sizes a kernel's cost is per call, and each ``np.*`` function below
+goes through numpy's Python-level dispatch before it reaches the ndarray
+method or C-level op that does the work (README, "How it runs").
 """
 
 import ast
@@ -35,3 +40,37 @@ def test_the_check_finds_a_dead_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+#: numpy functions that wrap an ndarray method or a cheaper C-level op
+WRAPPERS = {
+    "searchsorted", "argsort", "cumsum", "take", "repeat", "sort",
+    "flatnonzero", "split", "stack", "unique", "append", "diff", "count_nonzero",
+}
+
+
+def wrapper_calls(source):
+    """Each call ``np.<name>`` of a name in WRAPPERS, and each use of ``sliding_window_view``, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if func.value.id == "np" and func.attr in WRAPPERS:
+                found.append(f"np.{func.attr}")
+        names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if "sliding_window_view" in names:  # a name read, an attribute or an import
+            found.append("sliding_window_view")
+    return sorted(found)
+
+
+def test_the_check_finds_wrapper_calls():
+    source = (
+        "import numpy as np\nfrom numpy.lib.stride_tricks import sliding_window_view\n"
+        "a = np.sort(np.arange(3))\na.sort()\nb = np.lib.stride_tricks.sliding_window_view(a, 2)\n"
+        "c = np.flatnonzero(a)\nd = a.nonzero()[0]\n"
+    )
+    assert wrapper_calls(source) == ["np.flatnonzero", "np.sort", "sliding_window_view", "sliding_window_view"]
+
+
+def test_kernels_call_no_numpy_wrapper():
+    assert wrapper_calls((SRC / "core.py").read_text(encoding="utf-8")) == []

@@ -23,7 +23,7 @@ from unittest import mock
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import (
@@ -341,6 +341,9 @@ class TestExtractionRows:
         check_every_budget([b"abcd", b"mnopqrst", b"abce", b"mnop"], [b"abc", b"mnop"])
 
     @given(crowded_segment_lists())
+    @example([b"a", b"", b"b", b"a"])  # no segment of length 2
+    @example([b"a", b"abca", b"", b"abcb", b"c"])  # one width among shorter segments
+    @example([b"abca", b"abcb", b"cabc", b"aabc", b"cbca"])  # every segment of one width
     def test_crowded_widths_match_ordered_oracle(self, segments):
         check_every_budget(segments)
 
@@ -500,6 +503,8 @@ CUT_TARGETS = {
     },
     "a flip at every position": flips_at(24, set(range(1, 24))),
     "one flip at index 1": flips_at(24, {1}),
+    "a cut at the first possible symbol, then one more": flips_at(24, {1, 12}),
+    "a single cut, the whole of two symbols": flips_at(2, {1}),
     "no flips": flips_at(24, set()),
 }
 
@@ -551,7 +556,7 @@ class TestFlipCut:
 
     @pytest.mark.parametrize("target", CUT_TARGETS.values(), ids=CUT_TARGETS.keys())
     def test_scores_match_oracles(self, target):
-        cause = SymbolSequence.from_text("011010011101001011001101", 2)
+        cause = SymbolSequence.from_text("011010011101001011001101"[: len(target)], 2)
         score = score_direction(cause, target)
         segments = naive_dictionary(cause.symbols, target.symbols)
         assert [s.pattern.symbols for s in score.pattern_scores] == naive_pattern_order(segments)
@@ -630,6 +635,21 @@ class TestCountingKernel:
             assert (occ, change) == find_response(p, cause.data, effect.data)
             assert occ == naive_count(tuple(p), cause.symbols)
             assert (change, occ - change) == naive_response(tuple(p), cause.symbols, effect.symbols)
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [["011", "110", "101", "000", "111"], ["1", "01", "110", "0110", "10110", "011011"]],
+        ids=["a single length", "every pattern of a different length"],
+    )
+    def test_length_groups_at_the_edges(self, patterns):
+        cause = SymbolSequence.from_text("0110110100011101101100101101", 2)
+        effect = SymbolSequence.from_text("0011101001011100100111010110", 2)
+        patterns = [SymbolSequence.from_text(p, 2).data for p in patterns]
+        for chunk in BUDGETS:
+            with mock.patch.object(core, "_CHUNK", chunk):
+                n_occ, n_change = occurrences(cause.data, effect.data, patterns)
+            for p, occ, change in zip(patterns, n_occ.tolist(), n_change.tolist()):
+                assert (change, occ - change) == naive_response(tuple(p), cause.symbols, effect.symbols)
 
     def test_response_of_long_pattern(self):
         cause = SymbolSequence((0,) * 80 + (1,) + (0,) * 40, 2)
