@@ -109,8 +109,8 @@ MUTANTS = (
     ),
     Mutant(
         "start-all-marked", "src/dpe/core.py",
-        "if mark.all():",
-        "if mark.any():",
+        "if np.logical_and.reduce(mark):",
+        "if np.logical_or.reduce(mark):",
         "only a level whose every id is a left block has every position a start; otherwise the marks are read",
         ("tests/test_kernels.py::TestStartFilter",),
     ),
@@ -165,6 +165,23 @@ MUTANTS = (
         "member, partner = member[hits], member[hits]",
         "a run's pair is its row's member and the partner segment the plan carries",
         ("tests/test_kernels.py::TestExtractionOrder", "tests/test_kernels.py::TestExtractionRows"),
+    ),
+    Mutant(
+        "first-window-unexempt", "src/dpe/core.py",
+        "fresh[spread.cumsum() - spread] = True",
+        "pass",
+        "a segment's first window has no left neighbour among the windows, so the change prefix must keep it",
+        ("tests/test_kernels.py::TestFirstWindows",),
+    ),
+    Mutant(
+        "change-prefix-short", "src/dpe/core.py",
+        "fresh = changes.take(start + width) != changes.take(start)",
+        "fresh = changes.take(start + width - 1) != changes.take(start)",
+        "a window repeats its left neighbour only when none of its symbols, the last included, is a change",
+        (
+            "tests/test_kernels.py::TestFirstWindows",
+            "tests/test_kernels.py::test_windows_keyed_meet_the_work_bound",
+        ),
     ),
     Mutant(
         "weight-window-count", "src/dpe/core.py",

@@ -1,5 +1,6 @@
 """Every module-level import in ``src/dpe`` is used by the module that makes it,
-and the kernels call no numpy wrapper that an ndarray method replaces.
+and the kernels call no Python-level numpy function or method that a C-level
+ndarray method or ufunc replaces.
 
 ``__init__.py`` is exempt, as it imports names to re-export them, and so is
 ``from __future__``. A name that only a docstring or comment mentions is
@@ -7,7 +8,9 @@ unused.
 
 At sweep sizes a kernel's cost is per call, and each ``np.*`` function below
 goes through numpy's Python-level dispatch before it reaches the ndarray
-method or C-level op that does the work (README, "How it runs").
+method or C-level op that does the work (README, "How it runs"). The
+reductions ``.max()``, ``.min()``, ``.sum()``, ``.all()`` and ``.any()`` are
+Python-level too (``numpy._core._methods``); their ufunc's ``reduce`` is not.
 """
 
 import ast
@@ -44,19 +47,26 @@ def test_module_uses_every_import(path):
 
 #: numpy functions that wrap an ndarray method or a cheaper C-level op
 WRAPPERS = {
-    "searchsorted", "argsort", "cumsum", "take", "repeat", "sort",
+    "searchsorted", "argsort", "cumsum", "take", "repeat", "sort", "ones",
     "flatnonzero", "split", "stack", "unique", "append", "diff", "count_nonzero",
 }
 
+#: ndarray reductions that run Python-level code before their ufunc's ``reduce``
+METHODS = {"max", "min", "sum", "all", "any"}
+
 
 def wrapper_calls(source):
-    """Each call ``np.<name>`` of a name in WRAPPERS, and each use of ``sliding_window_view``, sorted."""
+    """Each call ``np.<name>`` of a name in WRAPPERS or METHODS, each method call
+    ``.<name>`` of a name in METHODS, and each use of ``sliding_window_view``, sorted."""
     found = []
     for node in ast.walk(ast.parse(source)):
         func = node.func if isinstance(node, ast.Call) else None
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            if func.value.id == "np" and func.attr in WRAPPERS:
-                found.append(f"np.{func.attr}")
+        if isinstance(func, ast.Attribute):
+            if isinstance(func.value, ast.Name) and func.value.id == "np":
+                if func.attr in WRAPPERS | METHODS:
+                    found.append(f"np.{func.attr}")
+            elif func.attr in METHODS:
+                found.append(f".{func.attr}")
         names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
         if "sliding_window_view" in names:  # a name read, an attribute or an import
             found.append("sliding_window_view")
@@ -68,8 +78,13 @@ def test_the_check_finds_wrapper_calls():
         "import numpy as np\nfrom numpy.lib.stride_tricks import sliding_window_view\n"
         "a = np.sort(np.arange(3))\na.sort()\nb = np.lib.stride_tricks.sliding_window_view(a, 2)\n"
         "c = np.flatnonzero(a)\nd = a.nonzero()[0]\n"
+        "e = int(a.max(initial=0)) + a[1:].sum() + max(1, 2) + np.maximum.reduce(a) + np.add.reduce(a)\n"
+        "f = np.ones(3, dtype=bool)\nf[:1] = (f == 0).all() or np.logical_and.reduce(f) or np.all(f)\n"
     )
-    assert wrapper_calls(source) == ["np.flatnonzero", "np.sort", "sliding_window_view", "sliding_window_view"]
+    assert wrapper_calls(source) == [
+        ".all", ".max", ".sum", "np.all", "np.flatnonzero", "np.ones", "np.sort",
+        "sliding_window_view", "sliding_window_view",
+    ]
 
 
 def test_kernels_call_no_numpy_wrapper():

@@ -11,11 +11,14 @@ the chunk budget and by binary search otherwise, and reads a level's windows
 only where its patterns' left blocks start once the level fills more than
 one chunk and its id bound fits the budget, unless half the positions are
 starts; the content dedupe packs
-its sort keys into one int64 up to 63 bits and lexsorts beyond. Both sides
-of each are checked.
+its sort keys into one int64 up to 63 bits and lexsorts beyond, and
+extraction skips the windows that repeat their left neighbour only when a
+direction has more windows than symbols. Both sides of each are checked.
 """
 
+import bisect
 import hashlib
+import itertools
 import random
 import tracemalloc
 from unittest import mock
@@ -43,7 +46,7 @@ from dpe.core import (
 )
 from dpe.rng import RngStream
 from dpe.seqcore import SymbolSequence
-from dpe.synth import gen_ar1
+from dpe.synth import gen_ar1, gen_sparse
 
 BUDGETS = (8, 24, 100, 600, 3000, core._CHUNK)
 CHUNKS = st.sampled_from(BUDGETS)
@@ -240,36 +243,85 @@ def naive_first_windows(segments, pairs):
     return out
 
 
+def change_prefix(data):
+    """``changes[i]``, for i in [0, len(data)]: the q in [1, i) with ``data[q] != data[q - 1]``."""
+    changes = [0, 0]
+    for q in range(1, len(data)):
+        changes.append(changes[-1] + (data[q] != data[q - 1]))
+    return np.array(changes[: len(data) + 1], dtype=np.int32)
+
+
+def first_windows(segments, pairs, prefix):
+    """core._first_windows over the packed segments, with the change prefix or without,
+    as (firsts, windows keyed, whether the dedupe took the lexsort side)."""
+    data = b"".join(segments)
+    ids, bound = core._block_ids(np.frombuffer(data, dtype=np.uint8), max(w for w, _ in pairs))
+    lengths = np.array([len(s) for s in segments], dtype=np.int64)
+    width, seg = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    changes = change_prefix(data) if prefix else None
+    with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort, keyed_windows() as content_keys:
+        firsts = core._first_windows(ids, bound, np.cumsum(lengths) - lengths, lengths, width, seg, changes)
+    keyed = sum(len(call.args[2]) for call in content_keys.call_args_list)
+    return list(zip(*(column.tolist() for column in firsts))), keyed, lexsort.called
+
+
+def keyed_windows():
+    """Wrap ``core._content_keys``; argument 2 of each call holds the starts of the windows it keys."""
+    return mock.patch.object(core, "_content_keys", wraps=core._content_keys)
+
+
 @st.composite
-def window_pairs(draw, alphabet, widths, min_length, min_pairs):
-    """Segments of at least ``min_length`` symbols from a small palette, each led by the
-    top symbol, and at least ``min_pairs`` (width, segment) pairs in (width, segment) order."""
-    palette = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3, unique=True))
-    body = st.lists(st.sampled_from(palette), min_size=min_length - 1, max_size=min_length + 40)
+def window_pairs(draw, alphabet, widths, min_length, min_pairs, runs=True):
+    """Segments of at least ``min_length`` symbols, each led by the top symbol, and at least
+    ``min_pairs`` (width, segment) pairs in (width, segment) order. With ``runs`` the bodies
+    come from a palette of one to three symbols, so long runs of one symbol are likely;
+    without, each body symbol differs from the one before it, so no window of two or more
+    symbols repeats its left neighbour and the change prefix skips none."""
+    if runs:
+        palette = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3, unique=True))
+        body = st.lists(st.sampled_from(palette), min_size=min_length - 1, max_size=min_length + 40)
+    else:
+        steps = st.lists(st.integers(1, alphabet - 1), min_size=min_length - 1, max_size=min_length + 40)
+        body = steps.map(lambda s: [total % alphabet for total in itertools.accumulate(s)])
     segments = [bytes([alphabet - 1] + b) for b in draw(st.lists(body, min_size=3, max_size=5))]
     cells = st.tuples(st.sampled_from(widths), st.integers(0, len(segments) - 1))
     return segments, sorted(draw(st.sets(cells, min_size=min_pairs, max_size=12)))
 
 
 class TestFirstWindows:
-    """Each width's windows are deduplicated by ``_first_by_content`` on both of its sides."""
+    """Each width's windows are deduplicated by ``_first_by_content`` on both of its sides,
+    with the change prefix, which skips every window that repeats its left neighbour, and
+    without it."""
 
     @pytest.mark.parametrize("alphabet, widths, min_length, min_pairs, wide", (
         (2, range(2, 13), 12, 1, False),
         # ternary windows of 16-31 symbols led by a 2 have level-4 keys of 51 bits: with
-        # 5 bits of width and 8 of position (6 pairs of at least 34 windows) they lexsort
+        # 5 bits of width and 8 of position (6 pairs of at least 34 windows) they lexsort;
+        # their bodies hold no run, so the change prefix keys every window and they still do
         (3, range(16, 32), 64, 6, True),
     ))
     @given(data=st.data())
     def test_matches_first_window_reference(self, alphabet, widths, min_length, min_pairs, wide, data):
-        segments, pairs = data.draw(window_pairs(alphabet, widths, min_length, min_pairs))
-        ids, bound = core._block_ids(np.frombuffer(b"".join(segments), dtype=np.uint8), max(widths))
-        lengths = np.array([len(s) for s in segments], dtype=np.int64)
-        width, seg = (np.array(column, dtype=np.int64) for column in zip(*pairs))
-        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
-            firsts = core._first_windows(ids, bound, np.cumsum(lengths) - lengths, lengths, width, seg)
-        assert list(zip(*(column.tolist() for column in firsts))) == naive_first_windows(segments, pairs)
-        assert lexsort.called == wide
+        segments, pairs = data.draw(window_pairs(alphabet, widths, min_length, min_pairs, runs=not wide))
+        want = naive_first_windows(segments, pairs)
+        for prefix in (False, True):
+            firsts, _, lexsorted = first_windows(segments, pairs, prefix)
+            assert firsts == want and lexsorted == wide
+
+    @pytest.mark.parametrize("segments, pairs, keyed", (
+        # one symbol: each segment keys only its first window of each width
+        ([b"\1" * 10, b"\1" * 7, b"\1" * 12], [(w, s) for w in range(2, 7) for s in range(3)], 15),
+        # segment 1 opens by continuing segment 0's run of 1s: its first window "11" is
+        # that content's only first occurrence, and its left neighbour in data is no window
+        ([b"\0\1\1", b"\1\1\1\2"], [(2, 1), (3, 1)], 4),
+        # "0001" differs from its left neighbour only in its last symbol
+        ([b"\0\0\0\0\1"], [(4, 0)], 2),
+    ), ids=("one-symbol", "run-across-segments", "last-symbol-change"))
+    def test_runs_of_one_symbol(self, segments, pairs, keyed):
+        want = naive_first_windows(segments, pairs)
+        enumerated = sum(len(segments[s]) - w + 1 for w, s in pairs)
+        assert first_windows(segments, pairs, False) == (want, enumerated, False)
+        assert first_windows(segments, pairs, True) == (want, keyed, False)
 
 
 @st.composite
@@ -977,17 +1029,44 @@ class TestStartFilter:
         assert list(zip(n_occ.tolist(), n_change.tolist())) == want
 
 
+def check_score(score, cause, effect):
+    """The score's patterns, in order, and their counts against the naive oracles."""
+    segments = naive_dictionary(cause.symbols, effect.symbols)
+    assert [s.pattern.symbols for s in score.pattern_scores] == naive_pattern_order(segments)
+    for s in score.pattern_scores:
+        assert (s.n_change, s.n_nochange) == naive_response(s.pattern.symbols, cause.symbols, effect.symbols)
+
+
 class TestScoreDirection:
     @given(sequence_pairs(max_size=70), CHUNKS)
     def test_patterns_and_counts_match_oracles(self, pair, chunk):
         cause, effect = pair
         with mock.patch.object(core, "_CHUNK", chunk):
             score = score_direction(cause, effect)
-        segments = naive_dictionary(cause.symbols, effect.symbols)
-        assert [s.pattern.symbols for s in score.pattern_scores] == naive_pattern_order(segments)
-        for s in score.pattern_scores:
-            want = naive_response(s.pattern.symbols, cause.symbols, effect.symbols)
-            assert (s.n_change, s.n_nochange) == want
+        check_score(score, cause, effect)
+
+    @pytest.mark.parametrize("shape, prefix", (
+        # sparse binary series, zero almost everywhere: the windows outnumber the 200 symbols
+        ("sparse", True),
+        # a 4-ary pair that flips at most places: segments of a few symbols, fewer windows
+        ("uniform", False),
+    ))
+    def test_change_prefix_on_each_side_of_the_rule(self, shape, prefix):
+        if shape == "sparse":
+            pair = gen_sparse(10, RngStream(1, 0), 200)
+            x, y = pair.x, pair.y
+        else:
+            x, y = genome_pair(200, 0.5, 1)
+        wrapped = mock.patch.object(core, "_first_windows", wraps=core._first_windows)
+        for cause, effect in ((x, y), (y, x)):
+            scores = []
+            for chunk in BUDGETS:
+                with mock.patch.object(core, "_CHUNK", chunk), wrapped as first_windows:
+                    scores.append(score_direction(cause, effect))
+                # the last argument is the change prefix, or None
+                assert {call.args[-1] is not None for call in first_windows.call_args_list} == {prefix}
+            check_score(scores[0], cause, effect)
+            assert len(set(scores)) == 1 and scores[0].has_evidence
 
 
 def test_long_few_flip_input_stays_within_a_memory_cap():
@@ -1084,6 +1163,39 @@ def test_rows_compared_meet_the_work_bound(shape, rows, every_offset):
     widths = lengths.tolist()
     pairs = ((a, b) for i, a in enumerate(widths) for b in widths[i + 1 :] if min(a, b) >= core.MIN_PATTERN_LEN)
     assert sum(abs(a - b) + 1 for a, b in pairs) == every_offset
+
+
+def window_bound(data, starts, lengths):
+    """The windows README bounds the row plan's keying by: for each width w of a segment
+    and each strictly longer segment, its first window plus every later window at p that
+    holds a change of symbol, a q in [p, p + w) with ``data[q] != data[q - 1]``."""
+    changes = [q for q in range(1, len(data)) if data[q] != data[q - 1]]
+
+    def holds_change(p, w):
+        return bisect.bisect_left(changes, p) < bisect.bisect_left(changes, p + w)
+
+    total = 0
+    for w in set(lengths):
+        for a, n in zip(starts, lengths):
+            if n > w:
+                total += 1 + sum(holds_change(p, w) for p in range(a + 1, a + n - w + 1))
+    return total
+
+
+def test_windows_keyed_meet_the_work_bound():
+    # 2,000 sparse binary symbols, zero almost everywhere: the segments are mostly runs
+    # of 0, so of the 24,739 windows of the longer segments only 827 open a segment or
+    # differ from their left neighbour
+    pair = gen_sparse(25, RngStream(2, 0), 2000)
+    dictionary = build_flip_dictionary(pair.x, pair.y)
+    index, lengths = dictionary.index, [len(s) for s in dictionary.segments]
+    with keyed_windows() as content_keys:
+        for _ in core._row_plan(index.starts, np.array(lengths, dtype=np.int64), index.ids, index.bound):
+            pass
+    keyed = sum(len(call.args[2]) for call in content_keys.call_args_list)
+    assert keyed == window_bound(index.data, index.starts.tolist(), lengths) == 827
+    enumerated = sum(n - w + 1 for w in set(lengths) for n in lengths if n > w)
+    assert enumerated == 24_739 and 10 * keyed < enumerated
 
 
 def genome_pair(n, rate, seed):
