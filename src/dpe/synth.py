@@ -2,8 +2,9 @@
 
 Each generator is a pure function of its parameters and an RngStream, returns
 a SequencePair carrying its ground-truth direction, and never touches global
-state, so trials parallelize freely. Real-valued families drop transients
-first and binarize afterwards.
+state, so trials parallelize freely. The ar1 and skew-tent families drop
+transients first and binarize afterwards; the sparse family builds its binary
+observation masks directly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .seqcore import (
     SequencePair,
     SymbolSequence,
     binarize_equiwidth,
-    binarize_nonzero,
 )
 
 # sweep grid, desk-scale trials, full-scale trials, param name, length, drop
@@ -38,10 +38,6 @@ AR1_NOISE = 0.01
 TENT_B_DRIVER = 0.35
 TENT_B_RESPONSE = 0.76
 SPARSE_N = 2000
-SPARSE_ALPHA = 0.8
-SPARSE_BETA = 0.08
-SPARSE_GAMMA = 0.75
-SPARSE_NOISE_SD = 0.1  # scale of the N(0, 0.1) noise, read as a standard deviation
 
 TRIGGER_PATTERN = (1, 1, 0, 1)
 
@@ -223,30 +219,22 @@ def gen_skew_tent(eta: float, length: int, drop: int, rng: RngStream) -> Sequenc
 def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
     """Sparse coupled processes observed at k random instants and their successors.
 
-    Latent AR recursions run over all t; the first process is observed only on
-    a random k-subset of instants, the second only on their immediate
-    successors (within range). Both observations binarize via the nonzero
-    indicator. Ground truth is x_causes_y.
+    Two latent AR processes are observed, the first on a random k-subset t1 of
+    the instants and the second on their successors (within range). Observed
+    values are nonzero, so their nonzero indicators are the masks: x is 1 on t1
+    and y is x shifted right by one. The latent values never reach the pair and
+    are not computed (``tests/oracles.py::naive_sparse`` runs them), but the
+    stream advances as their 2n normals would: 2n uniforms, the last two through
+    ``normals`` so that a cached Box-Muller spare is replaced too. Ground truth
+    is x_causes_y.
     """
     check_trial_value("sparse", k, n, 0)
-    k = int(k)
-    t1 = set(rng.sample_without_replacement(n, k))  # 0-based instants
-    t2 = {t + 1 for t in t1 if t + 1 < n}
-    z1_latent = 0.0
-    z2_latent = 0.0
-    z1_prev_obs = 0.0
-    noise = iter((SPARSE_NOISE_SD * rng.normals(2 * n)).tolist())
-    z1 = [0.0] * n
-    z2 = [0.0] * n
-    for t, eps1, eps2 in zip(range(n), noise, noise):
-        z1_latent = SPARSE_ALPHA * z1_latent + eps1
-        z2_latent = SPARSE_BETA * z2_latent + SPARSE_GAMMA * z1_prev_obs + eps2
-        z1[t] = z1_latent if t in t1 else 0.0
-        z2[t] = z2_latent if t in t2 else 0.0
-        z1_prev_obs = z1[t]
-    bx = binarize_nonzero(RealSeries(tuple(z1)))
-    by = binarize_nonzero(RealSeries(tuple(z2)))
-    return SequencePair(bx, by, Direction.X_CAUSES_Y)
+    x = bytearray(n)
+    for t in rng.sample_without_replacement(n, int(k)):
+        x[t] = 1
+    rng.uniforms(2 * n - 2)
+    rng.normals(2)
+    return SequencePair(SymbolSequence(bytes(x), 2), SymbolSequence(b"\0" + x[:-1], 2), Direction.X_CAUSES_Y)
 
 
 def generate_trial(family: str, value: float, length: int, drop: int, rng: RngStream) -> SequencePair:

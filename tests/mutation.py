@@ -296,6 +296,27 @@ MUTANTS = (
         ("tests/test_bench.py::TestBenchSpecValues",),
     ),
     Mutant(
+        "sparse-advance-short", "src/dpe/synth.py",
+        "rng.uniforms(2 * n - 2)",
+        "rng.uniforms(2 * n - 4)",
+        "a sparse trial leaves the stream where the latent recursion's 2n normals leave it",
+        ("tests/test_synth.py::TestSparse", "tests/test_golden.py::test_generated_trials_match_recorded_digests"),
+    ),
+    Mutant(
+        "sparse-spare-dropped", "src/dpe/synth.py",
+        "rng.normals(2)",
+        "rng.uniforms(2)",
+        "the last pair of the sparse advance replaces a cached Box-Muller spare, as the normals did",
+        ("tests/test_synth.py::TestSparse",),
+    ),
+    Mutant(
+        "sparse-shift", "src/dpe/synth.py",
+        'b"\\0" + x[:-1]',
+        'b"\\0\\0" + x[:-2]',
+        "the second process is observed one instant after the first",
+        ("tests/test_synth.py::TestSparse",),
+    ),
+    Mutant(
         "rng-lane-order", "src/dpe/rng.py",
         "out[first : first + count] = block.T.ravel()[:count]",
         "out[first : first + count] = block.ravel()[:count]",

@@ -7,6 +7,7 @@ like the functions they check.
 The ingest oracles read FASTA one character at a time and align through an
 index list, giving plain tuples back. The random-stream oracle draws one
 number per call with Python integers, as the derivation in ``dpe.rng`` reads.
+The sparse oracle runs the family's latent recursion in full and binarizes it.
 """
 
 import heapq
@@ -17,7 +18,15 @@ from pathlib import Path
 
 from dpe.baselines import BaselineVerdict, ComplexityValue
 from dpe.errors import FastaParseError, InputError, UnusablePairError
-from dpe.seqcore import NUCLEOTIDE_TO_SYMBOL, Direction, MaskedSequence, SymbolSequence
+from dpe.seqcore import (
+    NUCLEOTIDE_TO_SYMBOL,
+    Direction,
+    MaskedSequence,
+    RealSeries,
+    SequencePair,
+    SymbolSequence,
+    binarize_nonzero,
+)
 
 
 def naive_flips(symbols):
@@ -363,3 +372,36 @@ def naive_stream(seed, stream_index=0):
     """The stream ``RngStream(seed, stream_index)`` should give, from the documented derivation."""
     state = _naive_mix64(_naive_mix64((seed + (stream_index + 1) * 0x9E3779B97F4A7C15) & _MASK64))
     return NaiveStream(state or 0x9E3779B97F4A7C15)
+
+
+SPARSE_ALPHA = 0.8
+SPARSE_BETA = 0.08
+SPARSE_GAMMA = 0.75
+SPARSE_NOISE_SD = 0.1  # scale of the N(0, 0.1) noise, read as a standard deviation
+
+
+def naive_sparse(k, rng, n):
+    """The sparse family's latent model, run in full and binarized by the nonzero indicator.
+
+    Latent AR recursions run over all t; the first process is observed only on
+    a random k-subset of instants, the second only on their immediate
+    successors (within range). ``rng`` is an ``RngStream``, left where the
+    recursion's draws leave it.
+    """
+    t1 = set(rng.sample_without_replacement(n, k))  # 0-based instants
+    t2 = {t + 1 for t in t1 if t + 1 < n}
+    z1_latent = 0.0
+    z2_latent = 0.0
+    z1_prev_obs = 0.0
+    noise = iter((SPARSE_NOISE_SD * rng.normals(2 * n)).tolist())
+    z1 = [0.0] * n
+    z2 = [0.0] * n
+    for t, eps1, eps2 in zip(range(n), noise, noise):
+        z1_latent = SPARSE_ALPHA * z1_latent + eps1
+        z2_latent = SPARSE_BETA * z2_latent + SPARSE_GAMMA * z1_prev_obs + eps2
+        z1[t] = z1_latent if t in t1 else 0.0
+        z2[t] = z2_latent if t in t2 else 0.0
+        z1_prev_obs = z1[t]
+    bx = binarize_nonzero(RealSeries(tuple(z1)))
+    by = binarize_nonzero(RealSeries(tuple(z2)))
+    return SequencePair(bx, by, Direction.X_CAUSES_Y)

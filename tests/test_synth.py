@@ -6,9 +6,10 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
-from oracles import naive_stream
+from oracles import naive_sparse, naive_stream
 
 from dpe import rng as rng_module
+from dpe import synth
 from dpe.errors import InputError
 from dpe.rng import RngStream
 from dpe.seqcore import Direction
@@ -160,6 +161,20 @@ class TestAr1:
         b = gen_ar1(0.3, 400, 100, RngStream(11, 5))
         assert a.x == b.x and a.y == b.y
 
+    @pytest.mark.parametrize("phi", (0.0, 0.35, 0.8, 0.95))
+    def test_noise_scale_never_reaches_the_pair(self, phi, monkeypatch):
+        """AR1_NOISE cannot change a bit: it only scales the values before an equal-width cut.
+
+        Every value, and with them min, max and the midpoint, scale by the
+        same factor. A power of two scales each of them exactly, so the pair
+        must be identical; another factor could differ only by float rounding
+        at the midpoint.
+        """
+        before = [gen_ar1(phi, 600, 100, RngStream(seed, 5)) for seed in (0, 42, 2**64 - 1)]
+        monkeypatch.setattr(synth, "AR1_NOISE", 4 * synth.AR1_NOISE)
+        after = [gen_ar1(phi, 600, 100, RngStream(seed, 5)) for seed in (0, 42, 2**64 - 1)]
+        assert [(p.x, p.y) for p in after] == [(p.x, p.y) for p in before]
+
     def test_uncoupled_pair_nearly_uncorrelated(self):
         # sanity bound, not sharp: binarized independent AR(1) streams
         pair = gen_ar1(0.0, 1100, 100, RngStream(3, 0))
@@ -221,6 +236,37 @@ class TestSparse:
         a = gen_sparse(12, RngStream(10, 4))
         b = gen_sparse(12, RngStream(10, 4))
         assert a.x == b.x and a.y == b.y
+
+    @staticmethod
+    def _check_against_recursion(seed, stream_index, k, n):
+        """The pair, then the stream's next draws, match the latent recursion's.
+
+        Each case runs on a fresh stream and on one that holds a cached
+        Box-Muller spare; only the second tells normals(2) apart from uniforms(2).
+        """
+        for spare in (False, True):
+            stream, oracle = RngStream(seed, stream_index), RngStream(seed, stream_index)
+            if spare:
+                assert stream.normals(1).tolist() == oracle.normals(1).tolist()
+            got, want = gen_sparse(k, stream, n=n), naive_sparse(k, oracle, n)
+            assert (got.x, got.y, got.ground_truth) == (want.x, want.y, want.ground_truth)
+            assert stream.uniforms(2).tolist() == oracle.uniforms(2).tolist()
+            assert stream.normals(3).tolist() == oracle.normals(3).tolist()
+
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        stream_index=st.integers(0, 10**6),
+        n_k=st.sampled_from((2, 200, 2000)).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, min(n, 50)))
+        ),
+    )
+    def test_matches_the_latent_recursion(self, seed, stream_index, n_k):
+        n, k = n_k
+        self._check_against_recursion(seed, stream_index, k, n)
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_shortest_series_matches_the_latent_recursion(self, k):
+        self._check_against_recursion(3, 1, k, 2)
 
     def test_k_validation(self):
         with pytest.raises(InputError):
