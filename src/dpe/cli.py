@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", choices=tuple(FAMILY_ALIASES), help="experiment family")
     source.add_argument("--spec", help="key=value config file giving the whole battery")
-    p.add_argument("--methods", default="dpe", help="comma list from dpe,lzp,etcp,etce")
+    p.add_argument("--methods", default="dpe", help=f"comma list from {','.join(bench_mod.ALL_METHODS)}")
     p.add_argument("--trials", type=int, default=None, help="trials per parameter value")
     p.add_argument("--seed", type=int, help="random seed (default 42)")
     p.add_argument("--full", action="store_true", help="full-scale trial counts")

@@ -8,6 +8,8 @@ every intermediate structure small enough to check by hand.
 from __future__ import annotations
 
 from .core import (
+    LABEL_XY,
+    LABEL_YX,
     build_flip_dictionary,
     build_pattern_set,
     infer_causal_direction,
@@ -29,8 +31,8 @@ def demo_pair() -> tuple[SymbolSequence, SymbolSequence]:
 def demo_text() -> str:
     """Dictionaries, pattern sets, per-pattern tables, and the verdict."""
     x, y = demo_pair()
-    gxy = build_flip_dictionary(x, y, "X->Y")
-    gyx = build_flip_dictionary(y, x, "Y->X")
+    gxy = build_flip_dictionary(x, y, LABEL_XY)
+    gyx = build_flip_dictionary(y, x, LABEL_YX)
     pxy = build_pattern_set(gxy)
     pyx = build_pattern_set(gyx)
     report = infer_causal_direction(x, y)

@@ -67,37 +67,18 @@ def _xorshift(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _apply(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L(x) for each uint64 in ``x``, where L is GF(2)-linear with L(1 << j) = columns[j].
-
-    One table per byte of x holds the XOR of the columns over every value of that byte.
-    """
-    table = np.zeros((8, 256), dtype=np.uint64)
-    for i in range(8):
-        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ columns[i::8, None]
-    out = np.zeros_like(x)
-    for b in range(8):
-        out ^= table[b][(x >> np.uint64(8 * b)) & np.uint64(0xFF)]
-    return out
-
-
 @cache
 def _jump() -> np.ndarray:
     """``rows[k, j] = T^(k * _BLOCK)(1 << j)``, built by the process's first draw of two lanes or more.
 
-    Row 1 takes ``_BLOCK`` steps; each further pass doubles the rows, as
-    T^((m + i) * _BLOCK) applies T^(m * _BLOCK) to row i.
+    Each row is the one before it stepped ``_BLOCK`` times, all 64 columns at once.
     """
     rows = np.empty((_LANES, 64), dtype=np.uint64)
     rows[0] = np.left_shift(np.uint64(1), _BITS)
-    rows[1] = rows[0]
-    for _ in range(_BLOCK):
-        _xorshift(rows[1])
-    filled = 2
-    while filled < _LANES:
-        count = min(filled - 1, _LANES - filled)
-        rows[filled : filled + count] = _apply(rows[filled - 1], rows[1 : 1 + count])
-        filled += count
+    for k in range(1, _LANES):
+        rows[k] = rows[k - 1]
+        for _ in range(_BLOCK):
+            _xorshift(rows[k])
     return rows
 
 
@@ -166,8 +147,9 @@ class RngStream:
         """k distinct integers from range(n), by partial Fisher-Yates shuffle."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
+        picks, moved = [], {}  # moved[j]: what the shuffle left at j, for the displaced j only
         for i, u in enumerate(self.uniforms(k).tolist()):
             j = i + int(u * (n - i))
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return picks

@@ -331,6 +331,13 @@ MUTANTS = (
         ("tests/test_synth.py::TestBlockDraws",),
     ),
     Mutant(
+        "rng-jump-spacing", "src/dpe/rng.py",
+        "for _ in range(_BLOCK):",
+        "for _ in range(_BLOCK - 1):",
+        "jump row k starts lane k, so consecutive rows lie _BLOCK states apart",
+        ("tests/test_synth.py::TestBlockDraws",),
+    ),
+    Mutant(
         "rng-odd-spare", "src/dpe/rng.py",
         "if (n - head) % 2:",
         "if (n - head) % 2 == 0:",

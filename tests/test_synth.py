@@ -70,7 +70,8 @@ draw_plans = st.lists(
         st.tuples(st.sampled_from(sorted(BLOCK_DRAWS)), st.just(1)),  # one number at a time
         st.tuples(st.sampled_from(sorted(BLOCK_DRAWS)),
                   st.one_of(st.integers(0, 40), st.sampled_from(EDGE_COUNTS))),
-        st.tuples(st.just("sample"), st.integers(0, 60)),
+        st.tuples(st.just("sample"), st.integers(0, 60)),  # from range(k + 3)
+        st.tuples(st.just("sample_wide"), st.sampled_from((0, 1, 45, 50))),  # from range(2000)
     ),
     max_size=6,
 )
@@ -88,9 +89,10 @@ class TestBlockDraws:
         stream, oracle = RngStream(seed, stream_index), naive_stream(seed, stream_index)
         assert stream._state == oracle.state
         for op, count in plan:
-            if op == "sample":
-                got = stream.sample_without_replacement(count + 3, count)
-                want = oracle.sample_without_replacement(count + 3, count)
+            if op.startswith("sample"):
+                n = count + 3 if op == "sample" else 2000
+                got = stream.sample_without_replacement(n, count)
+                want = oracle.sample_without_replacement(n, count)
             else:
                 got = getattr(stream, op)(count).tolist()
                 want = [getattr(oracle, BLOCK_DRAWS[op])() for _ in range(count)]
