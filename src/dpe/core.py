@@ -36,7 +36,8 @@ MIN_PATTERN_LEN = 2
 #: keys about ``_CHUNK // 8`` windows of the longer segments at a time and
 #: compares ``_CHUNK // (w + 16)`` rows, w being the widest row's width; runs
 #: are merged ``_CHUNK // 32`` at a time and counting looks up ``_CHUNK // 8``
-#: windows, in a dense table of at most ``_CHUNK`` entries when the key space fits.
+#: windows, in a dense table of at most ``_CHUNK`` entries when the key space fits,
+#: or checks ``_CHUNK // 8`` candidates placed by the cause's changes of symbol.
 #: The budget also gates counting's start filter: it runs only on a level with
 #: more than ``_CHUNK // 8`` blocks, so a cause of one chunk keeps the full
 #: scan, and an id bound of at most ``_CHUNK``, the entries of its mark table.
@@ -513,12 +514,97 @@ def _level_starts(level: np.ndarray, left: np.ndarray, bound: int) -> np.ndarray
     return None if 2 * len(starts) >= len(level) else starts
 
 
-def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
+def _run_windows(cuts: np.ndarray, arr: np.ndarray, symbols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """For each (a, L) of ``symbols`` and ``lengths``, the sum of max(0, r - L + 1)
+    over the pieces r of ``arr`` whose symbol is a, ``arr`` being cut before
+    ``i + 1`` at every ``cuts[i]``.
+
+    The pieces are sorted once by (symbol, size); a query sums the sizes of the
+    pieces of a that are at least L long, by suffix sums, and takes L - 1 off
+    each of them.
+    """
+    n = len(arr)
+    ends = np.concatenate((cuts.nonzero()[0] + 1, [n]))
+    begins = np.concatenate(([0], ends[:-1]))
+    word = np.multiply(arr.take(begins), n + 1, dtype=np.int64)
+    word += ends - begins
+    word.sort()
+    tails = np.concatenate(((word % (n + 1))[::-1].cumsum()[::-1], [0]))  # sizes from each piece on
+    symbols = np.multiply(symbols, n + 1, dtype=np.int64)
+    lo, hi = word.searchsorted(symbols + lengths), word.searchsorted(symbols + (n + 1))
+    return tails[lo] - tails[hi] - (lengths - 1) * (hi - lo)
+
+
+def _anchors_pay(patterns: int, changes: int, windows: int) -> bool:
+    """Whether counting from the cause's changes beats the scan: its candidates,
+    at most ``patterns * changes``, are fewer than the ``windows`` a scan reads."""
+    # a factor of 1 on the candidates, against 2 and 4, from 120 sweep-size ar1
+    # directions, where the ratio straddles it: counting took 0.332 ms per
+    # direction at 1, 0.342 at 2, 0.377 at 4 (scan only), and the anchored side
+    # wins below a ratio of about 0.7; sweep-sparse directions lie below 0.07 and
+    # genome-length 4-ary ones, changing at 3/4 of their symbols, far above 1
+    # (2-core VM, Python 3.11.7, numpy 2.4.6)
+    return patterns * changes < windows
+
+
+def _anchored_occurrences(lengths, keys, at, flags, prefix, index: _DirectionIndex):
+    """``_occurrences`` read from the cause's changes of symbol, ``flags[q]``
+    being ``cause[q + 1] != cause[q]`` and ``prefix[i]`` the effect's flips
+    before i.
+
+    A pattern whose first change is at offset d (``cause[s + d] != cause[s + d + 1]``,
+    s = ``at[i]``) has exactly one change at s' + d in each occurrence s', so
+    its candidates are the changes less d that leave room for it; they are
+    checked ``_CHUNK // 8`` at a time against its key, and each one found is
+    binned by whether its effect window flips. A pattern with no change is a
+    run aᴸ, counted in closed form (``_run_windows``): its occurrences over the
+    runs of the cause, its steady ones over those runs cut at every effect
+    flip as well (compressed matching on the run-length form, Apostolico,
+    Landau & Skiena 1999).
+    """
+    ids, bound = index.ids, index.bound
+    n = ids.shape[1]
+    n_occ, n_change = np.zeros((2, len(lengths)), dtype=np.int64)
+    first = _first_by_content(lengths, keys)  # of equal patterns only the first is credited
+    lengths, keys, at = lengths[first], keys[first], at[first]
+    changes = flags.nonzero()[0]
+    anchor = np.concatenate((changes, [n])).take(changes.searchsorted(at))  # first change from s on
+    moves = anchor < at + (lengths - 1)
+    moving, still = first[moves], first[~moves]
+    # the changes p with d <= p <= n - L + d place a whole pattern at p - d
+    offset, width, key = anchor[moves] - at[moves], lengths[moves], keys[moves]
+    lo = changes.searchsorted(offset)
+    counts = changes.searchsorted(offset + (n - width), side="right") - lo
+    ends = counts.cumsum()
+    lo -= ends - counts  # candidate t of pattern j reads changes[t + lo[j]]
+    total = int(ends[-1]) if len(ends) else 0
+    bins = np.zeros(2 * len(moving), dtype=np.intp)  # (steady, flipped) per changing pattern
+    for begin in range(0, total, _CHUNK // 8):
+        t = np.arange(begin, min(begin + _CHUNK // 8, total))
+        j = ends.searchsorted(t, side="right")
+        s, size = changes.take(t + lo.take(j)) - offset.take(j), width.take(j)
+        hit = (_content_keys(ids, bound, s, size) == key.take(j)).nonzero()[0]
+        s, size = s.take(hit), size.take(hit)
+        bins += np.bincount(2 * j.take(hit) + (prefix.take(s + size - 1) > prefix.take(s)), minlength=len(bins))
+    steady, flips = bins.reshape(-1, 2).T
+    n_occ[moving], n_change[moving] = steady + flips, flips
+    if len(still):
+        symbols, width = ids[0].take(at[~moves]), lengths[~moves]
+        n_occ[still] = _run_windows(flags, ids[0], symbols, width)
+        n_change[still] = n_occ[still] - _run_windows(flags | index.changed, ids[0], symbols, width)
+    return n_occ, n_change
+
+
+def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
     """(occurrences, occurrences whose effect window flips) of each distinct pattern.
 
-    Pattern i is given by its length and its key among the cause's blocks of
-    that length (``_content_keys``); ``index`` must reach the longest
-    pattern. Of equal patterns only the first is credited.
+    Pattern i is given by its length, its start ``at[i]`` in the cause and its
+    key among the cause's blocks of that length (``_content_keys``); ``index``
+    must reach the longest pattern. Of equal patterns only the first is credited.
+    A cause with few changes of symbol is counted from its changes
+    (``_anchored_occurrences``) when its candidates, the patterns times the
+    changes, are well below the windows a scan reads, one per position for
+    each distinct length (``_anchors_pay``). Otherwise the cause is scanned.
     The patterns are grouped by length with one stable sort, so the lengths of
     a level k (``2**k <= L < 2**(k+1)``) come together. A window can match
     only where its left ``2**k``-block is the left block of a pattern of its
@@ -544,13 +630,18 @@ def _occurrences(lengths, keys, index: _DirectionIndex) -> tuple[np.ndarray, np.
         return n_occ, n_change
     prefix = np.zeros(n, dtype=np.intp)  # flips before each index
     changed.cumsum(out=prefix[1:])
+    by_length = lengths.argsort(kind="stable")
+    sorted_lengths = lengths[by_length]
+    cut = ((sorted_lengths[1:] != sorted_lengths[:-1]).nonzero()[0] + 1).tolist()
+    flags = _changes(index.data)
+    windows = (n + 1) * (len(cut) + 1) - sum(sorted_lengths[[0, *cut]].tolist())  # n - L + 1 per distinct L
+    # int32 counts: the cast to numpy's default int64 took twice as long, 12 against 6 us at 30k
+    if _anchors_pay(len(lengths), int(np.add.reduce(flags, dtype=np.int32)), windows):
+        return _anchored_occurrences(lengths, keys, at, flags, prefix, index)
     # shared because zeroing a fresh table of up to _CHUNK entries for every
     # length costs more than the lookups: it took a sweep-size ar1 pair from
     # 7.6 to 10.2 ms (2-core VM, Python 3.11.7, numpy 2.4.6)
     table = np.zeros(0, dtype=np.intp)  # bincount's own bin type
-    by_length = lengths.argsort(kind="stable")
-    sorted_lengths = lengths[by_length]
-    cut = ((sorted_lengths[1:] != sorted_lengths[:-1]).nonzero()[0] + 1).tolist()
     counted = []  # each length's bins past the miss, in by_length order
     k_starts = -1  # the level whose starts are kept, freed before the next
     for begin, end in zip([0, *cut], [*cut, len(lengths)]):
@@ -610,7 +701,7 @@ def _response(pattern: bytes, cause: bytes, effect: bytes) -> tuple[int, ...]:
         return 0, 0
     ids, bound = _block_ids(np.frombuffer(cause, dtype=np.uint8), len(pattern))
     index = _DirectionIndex(ids, bound, _changes(effect), cause, at)
-    return tuple(int(c[0]) for c in _occurrences(length, _content_keys(ids, bound, at, length), index))
+    return tuple(int(c[0]) for c in _occurrences(length, _content_keys(ids, bound, at, length), at, index))
 
 
 def count_occurrences(pattern: SymbolSequence, s: SymbolSequence) -> int:
@@ -671,7 +762,7 @@ def score_direction(
         return DirectionalScore(direction, None, cause)
     lengths, keys, starts = rows.T
     # (lengths, starts, n_occurrences, n_changes), as tuples so that the score hashes
-    counts = [tuple(a.tolist()) for a in (lengths, starts, *_occurrences(lengths, keys, dictionary.index))]
+    counts = [tuple(a.tolist()) for a in (lengths, starts, *_occurrences(lengths, keys, starts, dictionary.index))]
     total = 0.0  # summed left to right, as the pattern scores come
     for *_, h_w in _entropies(len(cause), counts[0], *counts[2:]):
         total += h_w

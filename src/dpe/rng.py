@@ -112,6 +112,25 @@ class RngStream:
             self._state = int(out[first + count - 1])
         return out
 
+    def advance(self, n: int) -> None:
+        """Move the stream on as a draw of ``n`` uniforms or bits would, without making them.
+
+        The state jumps by whole lanes, at most ``_LANES - 1`` of them per masked
+        XOR-reduce of one cached row, then takes the last ``n % _BLOCK`` steps one by one.
+        """
+        lanes, rest = divmod(n, _BLOCK)
+        state = self._state
+        while lanes:
+            row = min(lanes, _LANES - 1)
+            bits = (np.array([state], dtype=np.uint64) >> _BITS) & 1 == 1
+            state = int(np.bitwise_xor.reduce(_jump()[row, bits]))
+            lanes -= row
+        for _ in range(rest):
+            state ^= state >> 12
+            state ^= (state << 25) & _MASK
+            state ^= state >> 27
+        self._state = state
+
     def _words(self, n: int) -> np.ndarray:
         """The next ``n`` 64-bit outputs as uint64."""
         return self._states(n) * np.uint64(_MULTIPLIER)

@@ -224,15 +224,16 @@ def gen_sparse(k: int, rng: RngStream, n: int = SPARSE_N) -> SequencePair:
     values are nonzero, so their nonzero indicators are the masks: x is 1 on t1
     and y is x shifted right by one. The latent values never reach the pair and
     are not computed (``tests/oracles.py::naive_sparse`` runs them), but the
-    stream advances as their 2n normals would: 2n uniforms, the last two through
-    ``normals`` so that a cached Box-Muller spare is replaced too. Ground truth
-    is x_causes_y.
+    stream advances as their 2n normals would: 2n uniforms, the first 2n - 2
+    skipped by ``RngStream.advance`` and the last two drawn through ``normals``
+    so that a cached Box-Muller spare is replaced too. Ground truth is
+    x_causes_y.
     """
     check_trial_value("sparse", k, n, 0)
     x = bytearray(n)
     for t in rng.sample_without_replacement(n, int(k)):
         x[t] = 1
-    rng.uniforms(2 * n - 2)
+    rng.advance(2 * n - 2)
     rng.normals(2)
     return SequencePair(SymbolSequence(bytes(x), 2), SymbolSequence(b"\0" + x[:-1], 2), Direction.X_CAUSES_Y)
 

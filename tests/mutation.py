@@ -139,6 +139,27 @@ MUTANTS = (
         ("tests/test_kernels.py::TestStartFilter",),
     ),
     Mutant(
+        "anchor-offset-off-by-one", "src/dpe/core.py",
+        "offset, width, key = anchor[moves] - at[moves], lengths[moves], keys[moves]",
+        "offset, width, key = anchor[moves] - at[moves] + 1, lengths[moves], keys[moves]",
+        "an occurrence at s holds the pattern's first change at s + d, so its candidate is the change less d",
+        ("tests/test_kernels.py::TestAnchoredCounting",),
+    ),
+    Mutant(
+        "steady-runs-uncut", "src/dpe/core.py",
+        "_run_windows(flags | index.changed, ids[0], symbols, width)",
+        "_run_windows(flags, ids[0], symbols, width)",
+        "a steady occurrence of a run pattern lies in one run of the cause with no effect flip inside",
+        ("tests/test_kernels.py::TestAnchoredCounting",),
+    ),
+    Mutant(
+        "anchor-rule-reversed", "src/dpe/core.py",
+        "return patterns * changes < windows",
+        "return patterns * changes > windows",
+        "a cause with few changes is counted from them, one that changes often is scanned",
+        ("tests/test_kernels.py::TestAnchoredCounting",),
+    ),
+    Mutant(
         "level-exponent-off-by-one", "src/dpe/core.py",
         "k = np.subtract(np.frexp(lengths)[1], 1, dtype=np.int64)",
         "k = np.subtract(np.frexp(lengths)[1], 2, dtype=np.int64)",
@@ -297,8 +318,8 @@ MUTANTS = (
     ),
     Mutant(
         "sparse-advance-short", "src/dpe/synth.py",
-        "rng.uniforms(2 * n - 2)",
-        "rng.uniforms(2 * n - 4)",
+        "rng.advance(2 * n - 2)",
+        "rng.advance(2 * n - 4)",
         "a sparse trial leaves the stream where the latent recursion's 2n normals leave it",
         ("tests/test_synth.py::TestSparse", "tests/test_golden.py::test_generated_trials_match_recorded_digests"),
     ),
@@ -336,6 +357,13 @@ MUTANTS = (
         "for _ in range(_BLOCK - 1):",
         "jump row k starts lane k, so consecutive rows lie _BLOCK states apart",
         ("tests/test_synth.py::TestBlockDraws",),
+    ),
+    Mutant(
+        "rng-advance-remainder", "src/dpe/rng.py",
+        "for _ in range(rest):",
+        "for _ in range(rest + 1):",
+        "an advance of n states takes n % _BLOCK single steps after its whole lanes",
+        ("tests/test_synth.py::TestBlockDraws", "tests/test_synth.py::TestSparse"),
     ),
     Mutant(
         "rng-odd-spare", "src/dpe/rng.py",

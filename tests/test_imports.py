@@ -45,10 +45,12 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-#: numpy functions that wrap an ndarray method or a cheaper C-level op
+#: numpy functions that wrap an ndarray method or a cheaper C-level op; the set
+#: routines sort through Python-level code, where a mask or a sorted search serves
 WRAPPERS = {
     "searchsorted", "argsort", "cumsum", "take", "repeat", "sort", "ones",
     "flatnonzero", "split", "stack", "unique", "append", "diff", "count_nonzero",
+    "union1d", "intersect1d", "isin",
 }
 
 #: ndarray reductions that run Python-level code before their ufunc's ``reduce``

@@ -6,7 +6,10 @@ in different chunks. Palettes of one to three symbols drawn from alphabets of
 2, 4 and 256 make long agreement runs and repeated fragments likely, and
 reach pattern lengths on both sides of the limit where block ids stop being
 packed integers and become ranks (32 symbols for 2, 16 for 4, 4 for 256).
-Counting looks windows up in a dense table when a length's key space fits
+Counting reads the candidates its cause's changes of symbol place, and runs
+of one symbol in closed form, when the patterns times the changes are fewer
+than the windows a scan reads, and scans otherwise. The scan looks windows
+up in a dense table when a length's key space fits
 the chunk budget and by binary search otherwise, and reads a level's windows
 only where its patterns' left blocks start once the level fills more than
 one chunk and its id bound fits the budget, unless half the positions are
@@ -668,7 +671,8 @@ def occurrences(cause: bytes, effect: bytes, patterns: list[bytes]):
     ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), int(lengths.max()))
     index = core._DirectionIndex(ids, bound, core._changes(effect), cause, first[found])
     counts = np.zeros((2, len(patterns)), dtype=np.int64)
-    counts[:, found] = core._occurrences(lengths, core._content_keys(ids, bound, first[found], lengths), index)
+    keys = core._content_keys(ids, bound, first[found], lengths)
+    counts[:, found] = core._occurrences(lengths, keys, first[found], index)
     return counts
 
 
@@ -709,6 +713,104 @@ class TestCountingKernel:
         pattern = SymbolSequence((0,) * 40, 2)
         n_change, n_nochange, _ = response_determinism(pattern, cause, effect)
         assert (n_change, n_nochange) == naive_response(pattern.symbols, cause.symbols, effect.symbols)
+
+
+def anchored():
+    """Wrap the anchored counting side, to see whether a count took it."""
+    return mock.patch.object(core, "_anchored_occurrences", wraps=core._anchored_occurrences)
+
+
+def side(anchor):
+    """Make the rule pick the anchored side (True) or the scan (False)."""
+    return mock.patch.object(core, "_anchors_pay", lambda *_: anchor)
+
+
+@st.composite
+def run_pairs(draw):
+    """A cause of runs over an alphabet of 2 to 256 symbols, at times a single
+    run, and an effect that flips at a drawn set of places."""
+    alphabet = draw(st.integers(2, 256))
+    runs = draw(st.lists(st.tuples(st.integers(0, alphabet - 1), st.integers(1, 12)), min_size=1, max_size=12))
+    cause = b"".join(bytes([a]) * r for a, r in runs)
+    flips = draw(st.sets(st.integers(1, len(cause) - 1))) if len(cause) > 1 else set()
+    symbol, effect = 0, bytearray()
+    for i in range(len(cause)):
+        symbol ^= i in flips
+        effect.append(symbol)
+    return cause, bytes(effect)
+
+
+def run_patterns(cause, data):
+    """Windows of the cause, runs aᴸ, windows whose only change is at their
+    last pair, and copies of the first two."""
+    n = len(cause)
+    spans = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=6))
+    patterns = [cause[:1]] + [cause[a : a + k] for a, k in spans]
+    patterns += [bytes([cause[a]]) * k for a, k in spans]
+    changes = [p for p in range(n - 1) if cause[p] != cause[p + 1]]
+    for p in data.draw(st.lists(st.sampled_from(changes), max_size=3)) if changes else []:
+        q = p
+        while q and cause[q - 1] == cause[p]:
+            q -= 1
+        patterns.append(cause[q : p + 2])  # one run of cause[p], then the next symbol
+    return patterns + patterns[:2]
+
+
+def sweep_sparse_direction():
+    """The x -> y direction of a sweep-sparse trial: a mask of 25 ones in 2,000 symbols."""
+    pair = gen_sparse(25, RngStream(2, 0), 2000)
+    return pair.x, pair.y
+
+
+class TestAnchoredCounting:
+    """Counting from the cause's changes against the naive oracle, with the
+    rule forced to each side at every chunk budget: changing patterns, runs
+    aᴸ (closed form), patterns whose only change is their last pair, causes
+    with no change, alphabets of 2 to 256 and repeated patterns, of which only
+    the first copy is credited."""
+
+    @staticmethod
+    def check(cause, effect, patterns, chunk, anchor):
+        with mock.patch.object(core, "_CHUNK", chunk), side(anchor), anchored() as taken:
+            n_occ, n_change = occurrences(cause, effect, patterns)
+        assert taken.called == anchor
+        assert list(zip(n_occ.tolist(), n_change.tolist())) == first_copy_responses(patterns, cause, effect)
+        for p, occ, change in zip(patterns, n_occ.tolist(), n_change.tolist()):
+            if occ:
+                assert (change, occ - change) == naive_response(tuple(p), cause, effect)
+
+    @pytest.mark.parametrize("anchor", (True, False), ids=("anchored", "scan"))
+    @given(run_pairs(), st.data(), CHUNKS)
+    def test_each_side_matches_the_oracle(self, anchor, pair, data, chunk):
+        cause, effect = pair
+        self.check(cause, effect, run_patterns(cause, data), chunk, anchor)
+
+    @pytest.mark.parametrize("anchor", (True, False), ids=("anchored", "scan"))
+    def test_cause_with_no_change(self, anchor):
+        cause, effect = b"\x05" * 9, b"\x00\x00\x01\x01\x01\x00\x00\x00\x01"
+        patterns = [b"\x05" * k for k in range(1, 10)] + [b"\x05\x05"]
+        for chunk in BUDGETS:
+            self.check(cause, effect, patterns, chunk, anchor)
+
+    def test_runs_with_flipped_and_steady_windows(self):
+        # runs of 0 that the effect flips inside, and one it does not
+        cause = bytes([0] * 6 + [1] + [0] * 5 + [2, 2] + [0] * 3)
+        effect = bytes([0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
+        patterns = [bytes(k) for k in range(1, 7)] + [b"\x02\x02", b"\x00\x01", b"\x00\x00\x00\x01"]
+        want = [find_response(p, cause, effect) for p in patterns]
+        assert want[:3] == [(14, 0), (11, 2), (8, 4)]
+        for chunk in BUDGETS:
+            with mock.patch.object(core, "_CHUNK", chunk), side(True):
+                n_occ, n_change = occurrences(cause, effect, patterns)
+            assert list(zip(n_occ.tolist(), n_change.tolist())) == want
+
+    def test_rule_anchors_few_changes_and_scans_many(self):
+        # a sparse binary mask changes at about 50 of 2,000 places; a genome-length
+        # 4-ary cause at about three quarters of its 30,000
+        for (cause, effect), anchor in ((sweep_sparse_direction(), True), (genome_pair(30_000, 0.001, 1), False)):
+            with anchored() as taken:
+                score = score_direction(cause, effect)
+            assert score.has_evidence and taken.called == anchor
 
 
 def motif_cause(alphabet, length, n, seed):
@@ -768,6 +870,11 @@ CAP_SIDES = (
 
 
 class TestLookupSides:
+    """The scan's dense table and binary search, each on its side of the key-space
+    cap. A single pattern, or a few on a cause of three motifs, can be fewer
+    candidates than windows, so the counts are held on the scan; every check
+    sees its lookups run. ``score_direction`` takes the scan by the rule."""
+
     def check_counts(self, alphabet, length, space):
         cause = motif_cause(alphabet, length, 300, seed=length)
         effect = flip_effect(len(cause), 0.1, seed=alphabet)
@@ -778,7 +885,7 @@ class TestLookupSides:
         seq_cause, seq_effect = SymbolSequence(cause, alphabet), SymbolSequence(effect, alphabet)
         for chunk in BUDGETS:
             table, search = lookups()
-            with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search:
+            with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search, side(False):
                 n_occ, n_change = occurrences(cause, effect, patterns)
                 n_change_one, n_nochange_one, _ = response_determinism(
                     SymbolSequence(present[0], alphabet), seq_cause, seq_effect
@@ -809,7 +916,7 @@ class TestLookupSides:
         want = [find_response(p, cause, effect) for p in patterns]
         for chunk in BUDGETS:
             table, search = lookups()
-            with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search:
+            with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search, side(False):
                 n_occ, n_change = occurrences(cause, effect, patterns)
             assert list(zip(n_occ.tolist(), n_change.tolist())) == want
             took, skipped = (table, search) if space <= chunk else (search, table)
@@ -830,8 +937,9 @@ class TestLookupSides:
         want = naive_pattern_order(segments)
         for chunk in BUDGETS:
             table, search = lookups()
-            with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search:
+            with mock.patch.object(core, "_CHUNK", chunk), table as table, search as search, anchored() as taken:
                 score = score_direction(SymbolSequence(cause, alphabet), SymbolSequence(effect, alphabet))
+            assert not taken.called
             assert [s.pattern.symbols for s in score.pattern_scores] == want
             for s in score.pattern_scores:
                 assert (s.n_change, s.n_nochange) == naive_response(s.pattern.symbols, cause, effect)
@@ -893,14 +1001,19 @@ class TestStartFilter:
     full scan, the filtered count, whose starts are found in a mark table of
     the level's id bound, the half rule that falls back to the full scan,
     and the full scan of a level whose id bound exceeds the budget. Binary
-    causes keep the bound of levels 1 and 2 (4 and 16) within small budgets."""
+    causes keep the bound of levels 1 and 2 (4 and 16) within small budgets.
+    Most of these causes change symbol rarely, which the rule would count from
+    their changes, so the rule is held on the scan, and each check sees the
+    scan's lookups run."""
 
     def check(self, cause, effect, patterns, chunk):
         """Counts against the oracles; the start filter's calls, each checked
         against the positions where a pattern's left block starts."""
         recorder, calls = start_filter()
-        with mock.patch.object(core, "_CHUNK", chunk), recorder:
+        table, search = lookups()
+        with mock.patch.object(core, "_CHUNK", chunk), recorder, side(False), table as table, search as search:
             n_occ, n_change = occurrences(cause, effect, patterns)
+        assert table.called or search.called
         got = list(zip(n_occ.tolist(), n_change.tolist()))
         assert got == first_copy_responses(patterns, cause, effect)
         for p, (occ, change) in zip(patterns, got):
@@ -1019,12 +1132,14 @@ class TestStartFilter:
         ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), 7)
         index = core._DirectionIndex(ids, bound, core._changes(effect), cause, at)
         recorder, calls = start_filter()
-        with mock.patch.object(core, "_CHUNK", chunk), recorder:
-            n_occ, n_change = core._occurrences(lengths[6:], keys[6:], index)
+        table, search = lookups()
+        with mock.patch.object(core, "_CHUNK", chunk), recorder, side(False), table as table, search as search:
+            n_occ, n_change = core._occurrences(lengths[6:], keys[6:], at[6:], index)
             assert n_occ.tolist() == n_change.tolist() == [0, 0]
             ((_, _, starts),) = calls
             assert starts is not None and len(starts) == 0
-            n_occ, n_change = core._occurrences(lengths, keys, index)
+            n_occ, n_change = core._occurrences(lengths, keys, at, index)
+        assert table.call_count + search.call_count == 8  # a lookup per length: two, then six
         want = [find_response(p, cause, effect) for p in present] + [(0, 0)] * 2
         assert list(zip(n_occ.tolist(), n_change.tolist())) == want
 
@@ -1198,6 +1313,39 @@ def test_windows_keyed_meet_the_work_bound():
     assert enumerated == 24_739 and 10 * keyed < enumerated
 
 
+def candidate_bound(cause, patterns):
+    """The candidates README bounds anchored counting by, and the changing patterns:
+    for each distinct pattern whose first change of symbol is at offset d, the cause's
+    changes p (``cause[p] != cause[p + 1]``) with d <= p <= n - L + d."""
+    n = len(cause)
+    changes = [p for p in range(n - 1) if cause[p] != cause[p + 1]]
+    total = changing = 0
+    for pattern in dict.fromkeys(patterns):
+        d = next((j for j in range(len(pattern) - 1) if pattern[j] != pattern[j + 1]), None)
+        if d is not None:
+            changing += 1
+            total += sum(d <= p <= n - len(pattern) + d for p in changes)
+    return total, changing, len(changes)
+
+
+def test_anchored_candidates_meet_the_work_bound():
+    # a sweep-sparse direction: 46 patterns, 23 of them changing, and 50 changes
+    # in 2,000 symbols; a scan would key 77,434 windows, one per position for each
+    # of 40 lengths
+    cause, effect = sweep_sparse_direction()
+    dictionary = build_flip_dictionary(cause, effect)
+    lengths, keys, starts = core._pattern_bytes([s.data for s in dictionary.segments], dictionary.index).T
+    with keyed_windows() as content_keys, anchored() as taken:
+        core._occurrences(lengths, keys, starts, dictionary.index)
+    assert taken.called
+    checked = sum(len(call.args[2]) for call in content_keys.call_args_list)
+    patterns = [cause.data[s : s + n] for n, s in zip(lengths.tolist(), starts.tolist())]
+    bound, changing, changes = candidate_bound(cause.data, patterns)
+    assert (checked, changing, changes) == (bound, 23, 50) == (1_124, 23, 50)
+    assert checked <= changing * changes
+    assert sum(len(cause) - n + 1 for n in set(lengths.tolist())) == 77_434
+
+
 def genome_pair(n, rate, seed):
     """A uniform 4-ary reference of n symbols and a candidate with a share
     ``rate`` of its symbols changed, as the genomic benchmark builds them."""
@@ -1242,11 +1390,12 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
     table, search = lookups()
     tracemalloc.start()
     try:
-        with table as table, search as search:
+        with table as table, search as search, anchored() as taken:
             n_occ, n_change = occurrences(cause, effect, patterns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert not taken.called
     assert [len(c.args[1]) for c in table.call_args_list] == [4**4, 4**4, 4**8, 4**8]
     assert search.call_count == 2
     assert list(zip(n_occ.tolist(), n_change.tolist())) == first_copy_responses(patterns, cause, effect)

@@ -108,6 +108,23 @@ class TestBlockDraws:
         assert stream.normals(count).tolist() == [oracle.normal() for _ in range(count)]
         assert (stream._state, stream._spare_normal) == (oracle.state, oracle.spare)
 
+    @given(
+        seed=st.integers(-(2**63), 2**64 - 1),
+        n=st.one_of(st.integers(0, 3 * _CHUNK), st.sampled_from((0, 1, 7, 8, 9, 3998, 4095, 4096, 9000))),
+        spare=st.booleans(),
+    )
+    def test_advance_matches_the_scalar_oracle(self, seed, n, spare):
+        # a jump of whole lanes, at most _LANES - 1 a row, then n % _BLOCK single steps;
+        # a cached Box-Muller spare is neither handed out nor dropped
+        stream, oracle = RngStream(seed, 1), naive_stream(seed, 1)
+        if spare:
+            assert stream.normals(1).tolist() == [oracle.normal()]
+        stream.advance(n)
+        for _ in range(n):
+            oracle.next_u64()
+        assert (stream._state, stream._spare_normal) == (oracle.state, oracle.spare)
+        assert stream.normals(3).tolist() == [oracle.normal() for _ in range(3)]
+
     def test_jump_rows_are_built_on_first_draw_and_stay_small(self):
         src = Path(rng_module.__file__).resolve().parents[1]
         code = (f"import sys; sys.path.insert(0, {str(src)!r}); import dpe; from dpe import rng; "
