@@ -602,9 +602,10 @@ def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray,
     key among the cause's blocks of that length (``_content_keys``); ``index``
     must reach the longest pattern. Of equal patterns only the first is credited.
     A cause with few changes of symbol is counted from its changes
-    (``_anchored_occurrences``) when its candidates, the patterns times the
-    changes, are well below the windows a scan reads, one per position for
-    each distinct length (``_anchors_pay``). Otherwise the cause is scanned.
+    (``_anchored_occurrences``) when the patterns times the changes, a bound
+    on its candidates, are fewer than the windows a scan reads, one per
+    position for each distinct length (``_anchors_pay``). Otherwise the
+    cause is scanned.
     The patterns are grouped by length with one stable sort, so the lengths of
     a level k (``2**k <= L < 2**(k+1)``) come together. A window can match
     only where its left ``2**k``-block is the left block of a pattern of its
