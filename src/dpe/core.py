@@ -612,17 +612,17 @@ def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray,
     level, so when the level's blocks fill more than one chunk and its id
     bound fits ``_CHUNK``, its lengths are counted only at those starts
     (``_level_starts``), unless half of the positions are starts; otherwise
-    every cause position is read, a chunk at a time. Each window key is
-    looked up in a dense table when the length's key space has at most
-    ``_CHUNK`` entries, and among the sorted pattern keys otherwise. The
-    table maps every window to the bin of its pattern and of whether its
-    effect window flips; the search keeps only the windows it finds and
-    tests just those for a flip. Either way one bincount per chunk counts
-    every overlapping occurrence, in one (steady, flipped) pair of bins per
-    pattern, and the counts of every length are written back at once.
-    The lengths share one table, replaced by a larger one only when a
-    level's key space needs more entries, and each resets only the keys it
-    wrote.
+    at every cause position. One read serves both, a chunk of positions or
+    of starts at a time. Each window key is looked up in a dense table when
+    the length's key space has at most ``_CHUNK`` entries, and among the
+    sorted pattern keys otherwise. The table maps every window to the bin of
+    its pattern and of whether its effect window flips; the search keeps
+    only the windows it finds and tests just those for a flip. Either way
+    one bincount per chunk counts every overlapping occurrence, in one
+    (steady, flipped) pair of bins per pattern, and the counts of every
+    length are written back at once. The lengths share one table, replaced
+    by a larger one only when a level's key space needs more entries, and
+    each resets only the keys it wrote.
     """
     ids, bound, changed = index.ids, index.bound, index.changed
     n = ids.shape[1]
@@ -669,15 +669,11 @@ def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray,
         total = n - length + 1 if starts is None else int(starts.searchsorted(n - length, side="right"))
         for first in range(0, total, _CHUNK // 8):
             last = min(first + _CHUNK // 8, total)
-            if starts is None:
-                window = np.multiply(level[first:last], bound[k], dtype=np.int64)
-                window += level[first + lag : last + lag]
-                head, tail = prefix[first:last], prefix[first + length - 1 : last + length - 1]
-            else:
-                s = starts[first:last]
-                window = np.multiply(level[s], bound[k], dtype=np.int64)
-                window += level[s + lag]
-                head, tail = prefix[s], prefix[s + (length - 1)]
+            # a slice reads views; the starts gather from the offset views, with no s + lag temporaries
+            pos = slice(first, last) if starts is None else starts[first:last]
+            window = np.multiply(level[pos], bound[k], dtype=np.int64)
+            window += level[lag:][pos]
+            head, tail = prefix[pos], prefix[length - 1 :][pos]
             if dense:
                 bins = table[window]
                 bins += tail > head

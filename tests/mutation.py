@@ -241,36 +241,37 @@ MUTANTS = (
     ),
     Mutant(
         "etc-tie-to-largest", "src/dpe/baselines.py",
-        "top = counts.argmax()",
-        "top = len(counts) - 1 - counts[::-1].argmax()",
-        "ETC breaks a frequency tie towards the smallest pair, the first maximum in code-point order",
+        "top = int(counts.argmax())",
+        "top = int(counts.argmax()) if fresh <= 256 else len(counts) - 1 - int(counts[::-1].argmax())",
+        "the sorted side breaks a frequency tie towards the smallest pair, the first maximum in code-point order",
         ("tests/test_baselines.py::TestTopPair", "tests/test_baselines.py::TestOracles"),
     ),
     Mutant(
         "pair-halves-swapped", "src/dpe/baselines.py",
-        "chr(pair >> 32) + chr(pair & 0xFFFFFFFF)",
-        "chr(pair & 0xFFFFFFFF) + chr(pair >> 32)",
+        "chr(pair // fresh) + chr(pair % fresh)",
+        "chr(pair % fresh) + chr(pair // fresh)",
         "a counted pair keeps its order when decoded: (a, b) and (b, a) are different pairs",
         ("tests/test_baselines.py::TestTopPair",),
     ),
     Mutant(
         "etc-byte-boundary", "src/dpe/baselines.py",
-        "if fresh <= 256 else",
-        "if fresh < 256 else",
+        "if fresh <= 256:",
+        "if fresh < 256:",
         "ETC counts on the dense side while every code point of its text fits a byte, up to fresh 256",
         ("tests/test_baselines.py::TestEtcSides",),
     ),
     Mutant(
         "byte-pair-halves-swapped", "src/dpe/baselines.py",
-        "codes[:-1] * fresh + codes[1:]",
-        "codes[1:] * fresh + codes[:-1]",
+        "np.bincount(codes[:-1] * fresh + codes[1:])",
+        "np.bincount(codes[1:] * fresh + codes[:-1])",
         "the dense side's bin of (a, b) is a * fresh + b, so decoding it gives back a then b",
-        ("tests/test_baselines.py::TestTopBytePair", "tests/test_baselines.py::TestEtcSides"),
+        ("tests/test_baselines.py::TestTopPair", "tests/test_baselines.py::TestTopBytePair",
+         "tests/test_baselines.py::TestEtcSides"),
     ),
     Mutant(
         "byte-tie-to-largest", "src/dpe/baselines.py",
-        "pair = int(counts.argmax())",
-        "pair = len(counts) - 1 - int(counts[::-1].argmax())",
+        "top = int(counts.argmax())",
+        "top = len(counts) - 1 - int(counts[::-1].argmax()) if fresh <= 256 else int(counts.argmax())",
         "the dense side breaks a frequency tie towards the smallest pair, the first maximum in bin order",
         ("tests/test_baselines.py::TestTopBytePair", "tests/test_baselines.py::TestEtcSides"),
     ),

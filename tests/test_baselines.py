@@ -2,6 +2,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -93,9 +94,19 @@ CODE_POINTS = (0x0000, 0x00FF, 0x0100, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0
 
 @st.composite
 def code_point_texts(draw):
-    """Texts over a few of CODE_POINTS, so that pairs repeat and counts tie."""
+    """(text, fresh): a text over a few of CODE_POINTS, so that pairs repeat and
+    counts tie, and a fresh symbol above them all, most often past 256."""
     palette = draw(st.lists(st.sampled_from(CODE_POINTS), min_size=1, max_size=4, unique=True))
-    return "".join(map(chr, draw(st.lists(st.sampled_from(palette), max_size=80))))
+    text = "".join(map(chr, draw(st.lists(st.sampled_from(palette), min_size=2, max_size=80))))
+    return text, draw(st.sampled_from((max(palette) + 1, 0x110000)) | st.integers(max(palette) + 1, 0x110000))
+
+
+@st.composite
+def byte_texts(draw):
+    """(text, fresh): a text over a few code points below fresh <= 256, so counts tie."""
+    palette = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    text = "".join(map(chr, draw(st.lists(st.sampled_from(palette), min_size=2, max_size=80))))
+    return text, draw(st.integers(max(palette) + 1, 256))
 
 
 def doubled_walk(length, seed, alphabet=256):
@@ -115,20 +126,33 @@ def doubled_walk(length, seed, alphabet=256):
 
 
 class TestTopPair:
-    """The one-sort recount of each step against the per-pair Counter."""
+    """Each step's recount, on either side of fresh 256, against the per-pair Counter."""
 
     @settings(max_examples=300)
-    @given(code_point_texts().filter(lambda text: len(text) > 1))
-    def test_matches_counter_top(self, text):
-        _, heap = naive_pair_counts(text)
-        count, pair = baselines._top_pair(text)
+    @given(code_point_texts())
+    def test_matches_counter_top(self, case):
+        text, fresh = case
+        counts, heap = naive_pair_counts(text)
+        count, pair = baselines._top_pair(text, fresh)
         assert (-count, pair) == heap[0]  # the most frequent pair, ties to the smallest
+        assert counts[pair] == count
 
     def test_top_breaks_ties_by_code_point(self):
         # (U+10000, U+0000) and (U+D800, U+00FF) occur twice each: the tie goes
         # to the smaller code point, U+D800, though it comes second in the text
         text = "".join(map(chr, (0x10000, 0x0, 0x10000, 0x0, 0xD800, 0xFF, 0xD800, 0xFF)))
-        assert baselines._top_pair(text) == (2, "\ud800\xff")
+        assert baselines._top_pair(text, 0x10001) == (2, "\ud800\xff")
+        # (3, 0) and (1, 2) occur twice each: the tie goes to (1, 2), the
+        # smaller pair, though it comes second in the text, on the sorted side
+        text = "".join(map(chr, (3, 0, 3, 0, 1, 2, 1, 2)))
+        for fresh in (257, 0x110000):
+            assert baselines._top_pair(text, fresh) == (2, "\x01\x02")
+
+    @pytest.mark.parametrize("fresh", (3, 256, 257, 0x110000))
+    def test_halves_keep_their_order(self, fresh):
+        # (2, 1) is the top pair; its mirror (1, 2) occurs once
+        text = "".join(map(chr, (2, 1, 2, 1, 0)))
+        assert baselines._top_pair(text, fresh) == (2, "\x02\x01")
 
     def test_doubled_walk_matches_oracle(self):
         s = doubled_walk(300, seed=19)
@@ -137,42 +161,15 @@ class TestTopPair:
         assert value.raw == 299  # one step per pair of the walk, down to a constant a a
 
 
-def etc_sides(s):
-    """etc_complexity(s), and the side each step's count took: "dense" or "sorted"."""
-    sides = []
-
-    def recorded(side, count):
-        return lambda *args: sides.append(side) or count(*args)
-
-    with mock.patch.object(baselines, "_top_byte_pair", recorded("dense", baselines._top_byte_pair)), \
-            mock.patch.object(baselines, "_top_pair", recorded("sorted", baselines._top_pair)):
-        value = etc_complexity(s)
-    return value, sides
-
-
-def byte_rule(s, steps):
-    """The side of each of ``steps`` counts: dense while every code point fits a byte."""
-    fresh = max(s.symbols) + 1  # the text's code points are all below fresh
-    return ["dense" if fresh + step <= 256 else "sorted" for step in range(steps)]
-
-
-@st.composite
-def byte_texts(draw):
-    """(text, fresh): a text over a few code points below fresh <= 256, so counts tie."""
-    palette = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
-    text = "".join(map(chr, draw(st.lists(st.sampled_from(palette), min_size=2, max_size=80))))
-    return text, draw(st.integers(max(palette) + 1, 256))
-
-
 class TestTopBytePair:
-    """The bincount of each step while the text fits a byte, against the per-pair Counter."""
+    """The dense bincount of each step while fresh <= 256, against the per-pair Counter."""
 
     @settings(max_examples=300)
     @given(byte_texts())
     def test_matches_counter_top(self, case):
         text, fresh = case
         counts, heap = naive_pair_counts(text)
-        count, pair = baselines._top_byte_pair(text, fresh)
+        count, pair = baselines._top_pair(text, fresh)
         assert (-count, pair) == heap[0]  # the most frequent pair, ties to the smallest
         assert counts[pair] == count
 
@@ -181,12 +178,23 @@ class TestTopBytePair:
         # smaller bin, though it comes second in the text
         text = "".join(map(chr, (3, 0, 3, 0, 1, 2, 1, 2)))
         for fresh in (4, 255, 256):
-            assert baselines._top_byte_pair(text, fresh) == (2, "\x01\x02")
+            assert baselines._top_pair(text, fresh) == (2, "\x01\x02")
 
-    def test_halves_keep_their_order(self):
-        # (2, 1) is the top pair; its mirror (1, 2) occurs once
-        text = "".join(map(chr, (2, 1, 2, 1, 0)))
-        assert baselines._top_byte_pair(text, 3) == (2, "\x02\x01")
+
+def etc_sides(s):
+    """etc_complexity(s), and the side each step's count took: "dense" while
+    its fresh symbol is at most 256, "sorted" after."""
+    fresh = []
+    count = baselines._top_pair
+    with mock.patch.object(baselines, "_top_pair", lambda text, f: fresh.append(f) or count(text, f)):
+        value = etc_complexity(s)
+    return value, ["dense" if f <= 256 else "sorted" for f in fresh]
+
+
+def byte_rule(s, steps):
+    """The side of each of ``steps`` counts: dense while every code point fits a byte."""
+    fresh = max(s.symbols) + 1  # the text's code points are all below fresh
+    return ["dense" if fresh + step <= 256 else "sorted" for step in range(steps)]
 
 
 @st.composite
@@ -228,6 +236,13 @@ class TestEtcSides:
         assert value == naive_etc(s) and value.raw == 299
         assert sides == byte_rule(s, 300)
         assert sides.count("dense") == 256 - 64 + 1  # fresh 64 to 256
+
+    @pytest.mark.parametrize("fresh, sorts", ((255, False), (256, False), (257, True)))
+    def test_fresh_256_counts_the_last_bytes(self, fresh, sorts):
+        # the side follows fresh alone: a byte holds every code point up to 256
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            assert baselines._top_pair("\x00\xfe\x00\xfe", fresh) == (2, "\x00\xfe")
+        assert unique.called == sorts
 
 
 @st.composite
