@@ -422,15 +422,15 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
 
 
 def _pattern_bytes(segment_data: list[bytes], index: _DirectionIndex | None = None) -> np.ndarray:
-    """(length, key, start) of each distinct common run of the segment pairs, one
-    row per run in first-extraction order.
+    """(length, start) of each distinct common run of the segment pairs, one
+    row per content in first-extraction order.
 
     The runs are read in ``index.data``, the cause, at the segments'
     ``index.starts``; with no index, in the packed ``b"".join(segment_data)``.
-    ``start`` places a run in that data and ``key`` is its content's among the
-    data's blocks of its length (``_content_keys``). Each batch of runs is
-    merged into a table of first occurrences by content; a stable sort by pair
-    keeps the table in extraction order.
+    ``start`` places a run in that data. Each batch of runs is merged, by its
+    contents' keys among the data's blocks of their length (``_content_keys``),
+    into a table of first occurrences; a stable sort by pair keeps the table
+    in extraction order.
     """
     lengths = np.array([len(s) for s in segment_data], dtype=np.int64)
     ordered = lengths.copy()
@@ -447,7 +447,7 @@ def _pattern_bytes(segment_data: list[bytes], index: _DirectionIndex | None = No
             keyed = np.array((size, _content_keys(ids, bound, start, size), pair, start))
             table = np.concatenate((table, keyed), axis=1)
             table = table[:, _first_by_content(*table[:3])]
-    return table[[0, 1, 3]].T
+    return table[[0, 3]].T
 
 
 def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[SymbolSequence, ...]:
@@ -468,7 +468,7 @@ def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     source = b"".join(data) if dictionary.index is None else dictionary.index.data
     size = max((seg.alphabet_size for seg in dictionary.segments), default=1)
     rows = _pattern_bytes(data, dictionary.index).tolist()
-    patterns = tuple(SymbolSequence._of_valid(source[s : s + n], size) for n, _, s in rows)
+    patterns = tuple(SymbolSequence._of_valid(source[s : s + n], size) for n, s in rows)
     return PatternSet(dictionary.direction, patterns)
 
 
@@ -476,20 +476,18 @@ def _table_lookup(keys: np.ndarray, table: np.ndarray) -> None:
     """Write the bin of each window key into ``table``, a zeroed dense intp
     table with an entry for every window key.
 
-    A window equal to ``keys[i]`` takes bin ``2 * i + 2``, of equal keys the
-    first (it is written last); any other window the miss bin 0. The caller
-    adds 1 to the bin of a window whose effect window flips, and zeroes
-    ``keys`` in the table again once the lookup is done.
+    A window equal to ``keys[i]`` takes bin ``2 * i + 2``, any other window
+    the miss bin 0. The caller adds 1 to the bin of a window whose effect
+    window flips, and zeroes ``keys`` in the table again once the lookup is done.
     """
-    table[keys[::-1]] = np.arange(2 * len(keys), 0, -2)
+    table[keys] = np.arange(2, 2 * len(keys) + 2, 2)
 
 
 def _sorted_lookup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ranked, bins): the keys sorted, and the bin ``2 * i + 2`` of each, i its index in ``keys``.
 
-    A window found at ``ranked[j]`` by a leftmost binary search takes bin
-    ``bins[j]``, plus 1 when its effect window flips; of equal keys the first
-    wins, as the sort is stable.
+    A window found at ``ranked[j]`` by a binary search takes bin ``bins[j]``,
+    plus 1 when its effect window flips.
     """
     order = keys.argsort(kind="stable")
     return keys[order], 2 * order + 2
@@ -508,23 +506,24 @@ def _level_starts(level: np.ndarray, left: np.ndarray, bound: int) -> np.ndarray
     if np.logical_and.reduce(mark):  # every position qualifies
         return None
     starts = mark.take(level).nonzero()[0]
-    # past about half, the starts cost more than the full scan: on a 30k
-    # 4-ary cause's level 2 (four lengths) 1.31 against 1.19 ms at a share
-    # of 0.50, 0.91 against 1.11 ms at 0.375 (2-core VM, numpy 2.4.6)
+    # bounds a level whose left blocks cover most positions: at start shares of
+    # 0.74 / 0.86 / 0.98 of a 30k 4-ary cause's level 2, counting took 1.00 / 1.29 /
+    # 1.05 ms with it against 1.09 / 1.73 / 1.44 ms without; at 0.50 the starts won,
+    # 0.81 against 1.00 ms, crossing near 0.6-0.7 (2-core VM, numpy 2.4.6)
     return None if 2 * len(starts) >= len(level) else starts
 
 
 def _run_windows(cuts: np.ndarray, arr: np.ndarray, symbols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """For each (a, L) of ``symbols`` and ``lengths``, the sum of max(0, r - L + 1)
     over the pieces r of ``arr`` whose symbol is a, ``arr`` being cut before
-    ``i + 1`` at every ``cuts[i]``.
+    ``i + 1`` at each of the ascending positions ``cuts``.
 
     The pieces are sorted once by (symbol, size); a query sums the sizes of the
     pieces of a that are at least L long, by suffix sums, and takes L - 1 off
     each of them.
     """
     n = len(arr)
-    ends = np.concatenate((cuts.nonzero()[0] + 1, [n]))
+    ends = np.concatenate((cuts + 1, [n]))
     begins = np.concatenate(([0], ends[:-1]))
     word = np.multiply(arr.take(begins), n + 1, dtype=np.int64)
     word += ends - begins
@@ -547,7 +546,7 @@ def _anchors_pay(patterns: int, changes: int, windows: int) -> bool:
     return patterns * changes < windows
 
 
-def _anchored_occurrences(lengths, keys, at, flags, prefix, index: _DirectionIndex):
+def _anchored_occurrences(lengths, at, flags, prefix, index: _DirectionIndex):
     """``_occurrences`` read from the cause's changes of symbol, ``flags[q]``
     being ``cause[q + 1] != cause[q]`` and ``prefix[i]`` the effect's flips
     before i.
@@ -565,20 +564,19 @@ def _anchored_occurrences(lengths, keys, at, flags, prefix, index: _DirectionInd
     ids, bound = index.ids, index.bound
     n = ids.shape[1]
     n_occ, n_change = np.zeros((2, len(lengths)), dtype=np.int64)
-    first = _first_by_content(lengths, keys)  # of equal patterns only the first is credited
-    lengths, keys, at = lengths[first], keys[first], at[first]
     changes = flags.nonzero()[0]
     anchor = np.concatenate((changes, [n])).take(changes.searchsorted(at))  # first change from s on
     moves = anchor < at + (lengths - 1)
-    moving, still = first[moves], first[~moves]
+    still = ~moves
     # the changes p with d <= p <= n - L + d place a whole pattern at p - d
-    offset, width, key = anchor[moves] - at[moves], lengths[moves], keys[moves]
+    offset, width = anchor[moves] - at[moves], lengths[moves]
+    key = _content_keys(ids, bound, at[moves], width)
     lo = changes.searchsorted(offset)
     counts = changes.searchsorted(offset + (n - width), side="right") - lo
     ends = counts.cumsum()
     lo -= ends - counts  # candidate t of pattern j reads changes[t + lo[j]]
     total = int(ends[-1]) if len(ends) else 0
-    bins = np.zeros(2 * len(moving), dtype=np.intp)  # (steady, flipped) per changing pattern
+    bins = np.zeros(2 * len(width), dtype=np.intp)  # (steady, flipped) per changing pattern
     for begin in range(0, total, _CHUNK // 8):
         t = np.arange(begin, min(begin + _CHUNK // 8, total))
         j = ends.searchsorted(t, side="right")
@@ -587,21 +585,21 @@ def _anchored_occurrences(lengths, keys, at, flags, prefix, index: _DirectionInd
         s, size = s.take(hit), size.take(hit)
         bins += np.bincount(2 * j.take(hit) + (prefix.take(s + size - 1) > prefix.take(s)), minlength=len(bins))
     steady, flips = bins.reshape(-1, 2).T
-    n_occ[moving], n_change[moving] = steady + flips, flips
-    if len(still):
-        symbols, width = ids[0].take(at[~moves]), lengths[~moves]
-        n_occ[still] = _run_windows(flags, ids[0], symbols, width)
-        n_change[still] = n_occ[still] - _run_windows(flags | index.changed, ids[0], symbols, width)
+    n_occ[moves], n_change[moves] = steady + flips, flips
+    if np.logical_or.reduce(still):
+        symbols, width = ids[0].take(at[still]), lengths[still]
+        n_occ[still] = _run_windows(changes, ids[0], symbols, width)
+        n_change[still] = n_occ[still] - _run_windows((flags | index.changed).nonzero()[0], ids[0], symbols, width)
     return n_occ, n_change
 
 
-def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
-    """(occurrences, occurrences whose effect window flips) of each distinct pattern.
+def _occurrences(lengths, at, index: _DirectionIndex) -> tuple[np.ndarray, np.ndarray]:
+    """(occurrences, occurrences whose effect window flips) of each pattern.
 
-    Pattern i is given by its length, its start ``at[i]`` in the cause and its
-    key among the cause's blocks of that length (``_content_keys``); ``index``
-    must reach the longest pattern. Of equal patterns only the first is credited.
-    A cause with few changes of symbol is counted from its changes
+    Pattern i is the ``lengths[i]`` symbols at ``at[i]`` in the cause. There is
+    at least one pattern, no two share a content, as both callers guarantee
+    (extraction's rows, ``_response``'s one pattern), and ``index`` reaches the
+    longest. A cause with few changes of symbol is counted from its changes
     (``_anchored_occurrences``) when the patterns times the changes, a bound
     on its candidates, are fewer than the windows a scan reads, one per
     position for each distinct length (``_anchors_pay``). Otherwise the
@@ -626,9 +624,6 @@ def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray,
     """
     ids, bound, changed = index.ids, index.bound, index.changed
     n = ids.shape[1]
-    n_occ, n_change = np.zeros((2, len(lengths)), dtype=np.int64)
-    if not len(lengths):
-        return n_occ, n_change
     prefix = np.zeros(n, dtype=np.intp)  # flips before each index
     changed.cumsum(out=prefix[1:])
     by_length = lengths.argsort(kind="stable")
@@ -638,7 +633,8 @@ def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray,
     windows = (n + 1) * (len(cut) + 1) - sum(sorted_lengths[[0, *cut]].tolist())  # n - L + 1 per distinct L
     # int32 counts: the cast to numpy's default int64 took twice as long, 12 against 6 us at 30k
     if _anchors_pay(len(lengths), int(np.add.reduce(flags, dtype=np.int32)), windows):
-        return _anchored_occurrences(lengths, keys, at, flags, prefix, index)
+        return _anchored_occurrences(lengths, at, flags, prefix, index)
+    keys = _content_keys(ids, bound, at, lengths)  # each pattern's among the blocks of its length
     # shared because zeroing a fresh table of up to _CHUNK entries for every
     # length costs more than the lookups: it took a sweep-size ar1 pair from
     # 7.6 to 10.2 ms (2-core VM, Python 3.11.7, numpy 2.4.6)
@@ -678,15 +674,16 @@ def _occurrences(lengths, keys, at, index: _DirectionIndex) -> tuple[np.ndarray,
                 bins = table[window]
                 bins += tail > head
             else:
-                at = np.minimum(ranked.searchsorted(window), len(ranked) - 1)
-                hit = (ranked[at] == window).nonzero()[0]
-                bins = found[at[hit]]
+                near = np.minimum(ranked.searchsorted(window), len(ranked) - 1)
+                hit = (ranked[near] == window).nonzero()[0]
+                bins = found[near[hit]]
                 bins += tail[hit] > head[hit]
             counts += np.bincount(bins, minlength=len(counts))
         if dense:
             table[member_keys] = 0
         counted.append(counts[2:])
     steady, flips = np.concatenate(counted).reshape(-1, 2).T
+    n_occ, n_change = np.zeros((2, len(lengths)), dtype=np.int64)
     n_occ[by_length], n_change[by_length] = steady + flips, flips
     return n_occ, n_change
 
@@ -698,7 +695,7 @@ def _response(pattern: bytes, cause: bytes, effect: bytes) -> tuple[int, ...]:
         return 0, 0
     ids, bound = _block_ids(np.frombuffer(cause, dtype=np.uint8), len(pattern))
     index = _DirectionIndex(ids, bound, _changes(effect), cause, at)
-    return tuple(int(c[0]) for c in _occurrences(length, _content_keys(ids, bound, at, length), at, index))
+    return tuple(int(c[0]) for c in _occurrences(length, at, index))
 
 
 def count_occurrences(pattern: SymbolSequence, s: SymbolSequence) -> int:
@@ -757,9 +754,9 @@ def score_direction(
     rows = _pattern_bytes([seg.data for seg in dictionary.segments], dictionary.index)
     if not len(rows):
         return DirectionalScore(direction, None, cause)
-    lengths, keys, starts = rows.T
+    lengths, starts = rows.T
     # (lengths, starts, n_occurrences, n_changes), as tuples so that the score hashes
-    counts = [tuple(a.tolist()) for a in (lengths, starts, *_occurrences(lengths, keys, starts, dictionary.index))]
+    counts = [tuple(a.tolist()) for a in (lengths, starts, *_occurrences(lengths, starts, dictionary.index))]
     total = 0.0  # summed left to right, as the pattern scores come
     for *_, h_w in _entropies(len(cause), counts[0], *counts[2:]):
         total += h_w

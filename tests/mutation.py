@@ -140,15 +140,15 @@ MUTANTS = (
     ),
     Mutant(
         "anchor-offset-off-by-one", "src/dpe/core.py",
-        "offset, width, key = anchor[moves] - at[moves], lengths[moves], keys[moves]",
-        "offset, width, key = anchor[moves] - at[moves] + 1, lengths[moves], keys[moves]",
+        "offset, width = anchor[moves] - at[moves], lengths[moves]",
+        "offset, width = anchor[moves] - at[moves] + 1, lengths[moves]",
         "an occurrence at s holds the pattern's first change at s + d, so its candidate is the change less d",
         ("tests/test_kernels.py::TestAnchoredCounting",),
     ),
     Mutant(
         "steady-runs-uncut", "src/dpe/core.py",
-        "_run_windows(flags | index.changed, ids[0], symbols, width)",
-        "_run_windows(flags, ids[0], symbols, width)",
+        "_run_windows((flags | index.changed).nonzero()[0], ids[0], symbols, width)",
+        "_run_windows(changes, ids[0], symbols, width)",
         "a steady occurrence of a run pattern lies in one run of the cause with no effect flip inside",
         ("tests/test_kernels.py::TestAnchoredCounting",),
     ),

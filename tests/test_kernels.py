@@ -83,17 +83,9 @@ def sequence_pairs(draw, max_size=90):
 
 def extracted(segments, index=None):
     """``_pattern_bytes`` as bytes, cut from the data it read: the packed segments
-    without an index, the cause ``index.data`` with one. A row's key must be that of
-    its content at the content's first place in the cause, where counting meets it."""
-    rows = core._pattern_bytes(segments, index).tolist()
-    if index is None:
-        return [b"".join(segments)[s : s + n] for n, _, s in rows]
-    patterns = [index.data[s : s + n] for n, _, s in rows]
-    first = np.array([index.data.find(p) for p in patterns], dtype=np.int64)
-    lengths = np.array([n for n, _, _ in rows], dtype=np.int64)
-    keys = core._content_keys(index.ids, index.bound, first, lengths) if rows else []
-    assert [key for _, key, _ in rows] == list(keys)
-    return patterns
+    without an index, the cause ``index.data`` with one."""
+    data = b"".join(segments) if index is None else index.data
+    return [data[s : s + n] for n, s in core._pattern_bytes(segments, index).tolist()]
 
 
 def scattered(segments, gaps):
@@ -152,7 +144,7 @@ class TestExtractionOrder:
             assert extracted(list(pair)) == naive_pattern_order(list(pair))
 
     def test_zero_or_one_segment(self):
-        assert core._pattern_bytes([]).shape == core._pattern_bytes([b"\x00\x01\x00"]).shape == (0, 3)
+        assert core._pattern_bytes([]).shape == core._pattern_bytes([b"\x00\x01\x00"]).shape == (0, 2)
 
     def test_equal_length_and_length_two_segments(self):
         segments = [b"\x01\x01", b"\x00\x00", b"\x01\x01\x00", b"\x00\x01\x01", b"\x00\x00"]
@@ -622,7 +614,7 @@ class TestFlipCut:
 
 class TestOneIndexPerDirection:
     """A direction indexes the cause once; extraction and counting read the
-    dictionary's index, and counting takes its keys from extraction."""
+    dictionary's index, and counting keys the patterns at their starts in it."""
 
     X = SymbolSequence.from_text("011101111010011001110101101001", 2)
     Y = SymbolSequence.from_text("000001000010000000000100001000", 2)
@@ -664,15 +656,16 @@ class TestOneIndexPerDirection:
 
 def occurrences(cause: bytes, effect: bytes, patterns: list[bytes]):
     """Counting from an index of the cause that reaches the longest pattern, each
-    pattern keyed at its first place in the cause; one that is not there counts 0."""
+    pattern placed at its first place in the cause; one that is not there counts 0.
+    The patterns must be distinct, as counting requires."""
+    assert len(set(patterns)) == len(patterns)
     first = np.array([cause.find(p) for p in patterns], dtype=np.int64)
     found = np.flatnonzero(first >= 0)
     lengths = np.array([len(p) for p in patterns], dtype=np.int64)[found]
     ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), int(lengths.max()))
     index = core._DirectionIndex(ids, bound, core._changes(effect), cause, first[found])
     counts = np.zeros((2, len(patterns)), dtype=np.int64)
-    keys = core._content_keys(ids, bound, first[found], lengths)
-    counts[:, found] = core._occurrences(lengths, keys, first[found], index)
+    counts[:, found] = core._occurrences(lengths, first[found], index)
     return counts
 
 
@@ -741,8 +734,8 @@ def run_pairs(draw):
 
 
 def run_patterns(cause, data):
-    """Windows of the cause, runs aᴸ, windows whose only change is at their
-    last pair, and copies of the first two."""
+    """Distinct windows of the cause, runs aᴸ and windows whose only change is
+    at their last pair."""
     n = len(cause)
     spans = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=6))
     patterns = [cause[:1]] + [cause[a : a + k] for a, k in spans]
@@ -753,7 +746,7 @@ def run_patterns(cause, data):
         while q and cause[q - 1] == cause[p]:
             q -= 1
         patterns.append(cause[q : p + 2])  # one run of cause[p], then the next symbol
-    return patterns + patterns[:2]
+    return list(dict.fromkeys(patterns))
 
 
 def sweep_sparse_direction():
@@ -766,15 +759,15 @@ class TestAnchoredCounting:
     """Counting from the cause's changes against the naive oracle, with the
     rule forced to each side at every chunk budget: changing patterns, runs
     aᴸ (closed form), patterns whose only change is their last pair, causes
-    with no change, alphabets of 2 to 256 and repeated patterns, of which only
-    the first copy is credited."""
+    with no change and alphabets of 2 to 256. The patterns are distinct, as
+    extraction hands them to counting."""
 
     @staticmethod
     def check(cause, effect, patterns, chunk, anchor):
         with mock.patch.object(core, "_CHUNK", chunk), side(anchor), anchored() as taken:
             n_occ, n_change = occurrences(cause, effect, patterns)
         assert taken.called == anchor
-        assert list(zip(n_occ.tolist(), n_change.tolist())) == first_copy_responses(patterns, cause, effect)
+        assert list(zip(n_occ.tolist(), n_change.tolist())) == responses(patterns, cause, effect)
         for p, occ, change in zip(patterns, n_occ.tolist(), n_change.tolist()):
             if occ:
                 assert (change, occ - change) == naive_response(tuple(p), cause, effect)
@@ -785,10 +778,32 @@ class TestAnchoredCounting:
         cause, effect = pair
         self.check(cause, effect, run_patterns(cause, data), chunk, anchor)
 
+    @pytest.mark.parametrize("chunk", BUDGETS)
+    @given(sequence_pairs())
+    def test_extracted_patterns_are_distinct_and_count_alike_on_both_sides(self, chunk, pair):
+        # counting credits every pattern it is given, so it relies on extraction
+        # handing over each content once, on the cause index and packed alike
+        cause, effect = (s.data for s in pair)
+        with mock.patch.object(core, "_CHUNK", chunk):
+            dictionary = build_flip_dictionary(*pair)
+            segments = [s.data for s in dictionary.segments]
+            patterns = extracted(segments, dictionary.index)
+            packed = extracted(segments)
+            assert len(set(patterns)) == len(patterns) and len(set(packed)) == len(packed)
+            if not patterns:
+                return
+            lengths, starts = core._pattern_bytes(segments, dictionary.index).T
+            counts = []
+            for anchor in (True, False):
+                with side(anchor), anchored() as taken:
+                    counts.append(np.array(core._occurrences(lengths, starts, dictionary.index)).T.tolist())
+                assert taken.called == anchor
+        assert counts[0] == counts[1] == [list(c) for c in responses(patterns, cause, effect)]
+
     @pytest.mark.parametrize("anchor", (True, False), ids=("anchored", "scan"))
     def test_cause_with_no_change(self, anchor):
         cause, effect = b"\x05" * 9, b"\x00\x00\x01\x01\x01\x00\x00\x00\x01"
-        patterns = [b"\x05" * k for k in range(1, 10)] + [b"\x05\x05"]
+        patterns = [b"\x05" * k for k in range(1, 10)]
         for chunk in BUDGETS:
             self.check(cause, effect, patterns, chunk, anchor)
 
@@ -839,12 +854,9 @@ def rank_space(cause, k):
     return len({cause[s : s + (1 << k)] for s in range(len(cause) - (1 << k) + 1)}) ** 2
 
 
-def first_copy_responses(patterns, cause, effect):
-    """find_response of each pattern; a repeated pattern is credited at its first copy only."""
-    return [
-        find_response(p, cause, effect) if p not in patterns[:i] else (0, 0)
-        for i, p in enumerate(patterns)
-    ]
+def responses(patterns, cause, effect):
+    """find_response of each pattern."""
+    return [find_response(p, cause, effect) for p in patterns]
 
 
 def lookups():
@@ -878,10 +890,10 @@ class TestLookupSides:
     def check_counts(self, alphabet, length, space):
         cause = motif_cause(alphabet, length, 300, seed=length)
         effect = flip_effect(len(cause), 0.1, seed=alphabet)
-        present = [cause[a : a + length] for a in range(0, len(cause) - length, 23)]
+        present = list(dict.fromkeys(cause[a : a + length] for a in range(0, len(cause) - length, 23)))
         absent = next(bytes([a]) * length for a in range(alphabet) if bytes([a]) * length not in cause)
-        patterns = present + [absent] + present[:2]  # the copies of the first two get nothing
-        want = first_copy_responses(patterns, cause, effect)
+        patterns = present + [absent]
+        want = responses(patterns, cause, effect)
         seq_cause, seq_effect = SymbolSequence(cause, alphabet), SymbolSequence(effect, alphabet)
         for chunk in BUDGETS:
             table, search = lookups()
@@ -986,13 +998,13 @@ def opening_patterns(cause):
 
 
 def rare_patterns(cause):
-    """The opening patterns, tails of the cause, whose only occurrences end at
-    its last symbol, and copies of two patterns."""
+    """The opening patterns and tails of the cause, whose only occurrences end
+    at its last symbol."""
     n = len(cause)
     patterns = opening_patterns(cause)
     tails = [cause[n - length :] for length in (2, 3, 4, 5)]
     assert all(cause.find(t) == n - len(t) for t in tails)
-    return patterns + tails + patterns[:2]
+    return patterns + tails
 
 
 class TestStartFilter:
@@ -1007,15 +1019,16 @@ class TestStartFilter:
     scan's lookups run."""
 
     def check(self, cause, effect, patterns, chunk):
-        """Counts against the oracles; the start filter's calls, each checked
-        against the positions where a pattern's left block starts."""
+        """Counts of the distinct patterns against the oracles; the start filter's
+        calls, each checked against the positions where a pattern's left block starts."""
+        patterns = list(dict.fromkeys(patterns))
         recorder, calls = start_filter()
         table, search = lookups()
         with mock.patch.object(core, "_CHUNK", chunk), recorder, side(False), table as table, search as search:
             n_occ, n_change = occurrences(cause, effect, patterns)
         assert table.called or search.called
         got = list(zip(n_occ.tolist(), n_change.tolist()))
-        assert got == first_copy_responses(patterns, cause, effect)
+        assert got == responses(patterns, cause, effect)
         for p, (occ, change) in zip(patterns, got):
             if occ:
                 assert (change, occ - change) == naive_response(tuple(p), cause, effect)
@@ -1117,37 +1130,24 @@ class TestStartFilter:
         cause = bytes([255]) + bytes(rng.randrange(256) for _ in range(n - 1))
         effect = flip_effect(n, 0.2, seed=chunk)
         patterns = [cause[s : s + length] for s, length in ((n // 3, 4), (n // 2, 6), (2 * n // 3, 7))]
-        patterns += [cause[-5:], cause[-4:], patterns[0]]
+        patterns += [cause[-5:], cause[-4:]]
         ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), 7)
         assert n - 3 > chunk // 8 and bound[2] > chunk
         assert self.check(cause, effect, patterns, chunk) == []
 
     @pytest.mark.parametrize("chunk", BUDGETS)
     def test_level_where_no_start_qualifies(self, chunk):
+        # no 2-block of the cause is 1 1 (packed id 3), so that left block marks
+        # no position; counting never asks for it, as a pattern's own start
+        # qualifies, and counts the patterns that open with 1 at their starts
         cause = rare_cause(3 * (chunk // 8) + 40, rare=6, seed=chunk + 1, tail=False)
-        effect = flip_effect(len(cause), 0.2, seed=chunk)
-        present = opening_patterns(cause)
-        absent = [b"\x01\x01", b"\x01\x01\x00"]  # no 2-block is 1 1
         assert b"\x01\x01" not in cause
-        # packed ids are contents: the keys of absent patterns come from a longer text
-        text = cause + b"".join(absent)
-        at = np.array([cause.find(p) for p in present] + [len(cause), len(cause) + 2], dtype=np.int64)
-        lengths = np.array([len(p) for p in present + absent], dtype=np.int64)
-        ids, bound = core._block_ids(np.frombuffer(text, dtype=np.uint8), 7)
-        keys = core._content_keys(ids, bound, at, lengths)
-        ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), 7)
-        index = core._DirectionIndex(ids, bound, core._changes(effect), cause, at)
-        recorder, calls = start_filter()
-        table, search = lookups()
-        with mock.patch.object(core, "_CHUNK", chunk), recorder, side(False), table as table, search as search:
-            n_occ, n_change = core._occurrences(lengths[6:], keys[6:], at[6:], index)
-            assert n_occ.tolist() == n_change.tolist() == [0, 0]
-            ((_, _, starts),) = calls
-            assert starts is not None and len(starts) == 0
-            n_occ, n_change = core._occurrences(lengths, keys, at, index)
-        assert table.call_count + search.call_count == 8  # a lookup per length: two, then six
-        want = [find_response(p, cause, effect) for p in present] + [(0, 0)] * 2
-        assert list(zip(n_occ.tolist(), n_change.tolist())) == want
+        ids, bound = core._block_ids(np.frombuffer(cause, dtype=np.uint8), 2)
+        starts = core._level_starts(ids[1, : len(cause) - 1], np.array([3]), int(bound[1]))
+        assert bound[1] == 4 and starts is not None and len(starts) == 0
+        effect = flip_effect(len(cause), 0.2, seed=chunk)
+        calls = self.check(cause, effect, opening_patterns(cause), chunk)
+        assert all(starts is not None and len(starts) for *_, starts in calls)
 
 
 def check_score(score, cause, effect):
@@ -1340,14 +1340,16 @@ def test_anchored_candidates_meet_the_work_bound():
     # of 40 lengths
     cause, effect = sweep_sparse_direction()
     dictionary = build_flip_dictionary(cause, effect)
-    lengths, keys, starts = core._pattern_bytes([s.data for s in dictionary.segments], dictionary.index).T
+    lengths, starts = core._pattern_bytes([s.data for s in dictionary.segments], dictionary.index).T
     with keyed_windows() as content_keys, anchored() as taken:
-        core._occurrences(lengths, keys, starts, dictionary.index)
+        core._occurrences(lengths, starts, dictionary.index)
     assert taken.called
-    checked = sum(len(call.args[2]) for call in content_keys.call_args_list)
+    # the first call keys the changing patterns, the rest their candidates
+    patterns_keyed, *candidates = (len(call.args[2]) for call in content_keys.call_args_list)
+    checked = sum(candidates)
     patterns = [cause.data[s : s + n] for n, s in zip(lengths.tolist(), starts.tolist())]
     bound, changing, changes = candidate_bound(cause.data, patterns)
-    assert (checked, changing, changes) == (bound, 23, 50) == (1_124, 23, 50)
+    assert (checked, changing, changes) == (bound, patterns_keyed, 50) == (1_124, 23, 50)
     assert checked <= changing * changes
     assert sum(len(cause) - n + 1 for n in set(lengths.tolist())) == 77_434
 
@@ -1393,6 +1395,7 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
     cause = bytes(rng.randrange(4) for _ in range(n))
     effect = bytes(rng.randrange(4) for _ in range(n))
     patterns = [cause[a : a + length] for length in (2, 3, 5, 7, 8, 12) for a in range(0, n, 1500)]
+    patterns = list(dict.fromkeys(patterns))  # the 2- and 3-windows repeat
     table, search = lookups()
     tracemalloc.start()
     try:
@@ -1404,7 +1407,7 @@ def test_genome_scale_counting_stays_within_a_memory_cap():
     assert not taken.called
     assert [len(c.args[1]) for c in table.call_args_list] == [4**4, 4**4, 4**8, 4**8]
     assert search.call_count == 2
-    assert list(zip(n_occ.tolist(), n_change.tolist())) == first_copy_responses(patterns, cause, effect)
+    assert list(zip(n_occ.tolist(), n_change.tolist())) == responses(patterns, cause, effect)
     assert peak < 2 * 1024 * 1024
     # the flip dictionary of the same pair: 22,439 flips cut 12,858 segments of
     # at most 9 symbols into 503 distinct ones, peaking near 1.1 MiB
