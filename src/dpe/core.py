@@ -59,18 +59,51 @@ class _DirectionIndex(NamedTuple):
     starts: np.ndarray
 
 
-@dataclass(frozen=True)
 class FlipDictionary:
     """Segments of the source sequence ending at flips of the target.
 
-    ``index`` covers every block of the source up to the longest segment, so
-    it keys every pattern extracted from the segments, and it places the
-    segments in the source; it is None when the target has no flip that cuts.
+    ``segments`` holds them deduplicated, in first-insertion order; ``repr``,
+    ``==`` and ``hash`` read it and ``direction`` alone, as a frozen dataclass
+    of the two would. ``index`` covers every block of the source up to the
+    longest segment, so it keys every pattern extracted from the segments, and
+    it places them in the source: a built dictionary keeps segment i as the
+    row (``index.starts[i]``, its length), and builds ``segments`` on first
+    read, as scoring reads only the rows. ``index`` is None when the target
+    has no flip that cuts and when the dictionary is given its segments.
     """
 
-    direction: str
-    segments: tuple[SymbolSequence, ...]  # deduplicated, first-insertion order
-    index: _DirectionIndex | None = field(default=None, repr=False, compare=False)
+    def __init__(self, direction: str, segments: tuple[SymbolSequence, ...]):
+        self.direction, self.index, self._segments = direction, None, segments
+
+    @classmethod
+    def _of_rows(cls, direction: str, source: SymbolSequence, lengths: np.ndarray, index: _DirectionIndex):
+        built = cls(direction, None)
+        built.index, built._lengths, built._alphabet_size = index, lengths, source.alphabet_size
+        return built
+
+    @property
+    def segments(self) -> tuple[SymbolSequence, ...]:
+        if self._segments is None:
+            self._segments = tuple(SymbolSequence._of_valid(d, self._alphabet_size) for d in self._segment_data())
+        return self._segments
+
+    def _segment_data(self) -> list[bytes]:
+        """Each segment's symbols, cut from the source by its row when there is an index."""
+        if self.index is None:
+            return [seg.data for seg in self.segments]
+        data = self.index.data
+        return [data[a : a + n] for a, n in zip(self.index.starts.tolist(), self._lengths.tolist())]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(direction={self.direction!r}, segments={self.segments!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.direction, self.segments) == (other.direction, other.segments)
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.segments))
 
 
 @dataclass(frozen=True)
@@ -268,9 +301,8 @@ def build_flip_dictionary(
     lengths = np.subtract(stops, starts, out=stops)  # the stops are not read again
     ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(np.maximum.reduce(lengths)))
     keep = _first_by_content(lengths, _content_keys(ids, bound, starts, lengths))
-    starts = starts[keep]  # still ascending
-    segments = tuple(source.fragment(a, a + n) for a, n in zip(starts.tolist(), lengths[keep].tolist()))
-    return FlipDictionary(direction, segments, _DirectionIndex(ids, bound, changed, source.data, starts))
+    index = _DirectionIndex(ids, bound, changed, source.data, starts[keep])  # the starts still ascend
+    return FlipDictionary._of_rows(direction, source, lengths[keep], index)
 
 
 def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -426,8 +458,10 @@ def _pattern_bytes(segment_data: list[bytes], index: _DirectionIndex | None = No
     row per content in first-extraction order.
 
     The runs are read in ``index.data``, the cause, at the segments'
-    ``index.starts``; with no index, in the packed ``b"".join(segment_data)``.
-    ``start`` places a run in that data. Each batch of runs is merged, by its
+    ``index.starts``, and only the lengths of ``segment_data`` are read; with
+    no index, in the packed ``b"".join(segment_data)``, as for
+    ``extract_common_subpatterns``, a dictionary given its segments and a
+    one-argument call. ``start`` places a run in that data. Each batch of runs is merged, by its
     contents' keys among the data's blocks of their length (``_content_keys``),
     into a table of first occurrences; a stable sort by pair keeps the table
     in extraction order.
@@ -464,7 +498,7 @@ def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[
 
 def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     """Union of common subpatterns over all pairs of distinct dictionary segments."""
-    data = [seg.data for seg in dictionary.segments]
+    data = dictionary._segment_data()
     source = b"".join(data) if dictionary.index is None else dictionary.index.data
     size = max((seg.alphabet_size for seg in dictionary.segments), default=1)
     rows = _pattern_bytes(data, dictionary.index).tolist()
@@ -624,7 +658,10 @@ def _occurrences(lengths, at, index: _DirectionIndex) -> tuple[np.ndarray, np.nd
     """
     ids, bound, changed = index.ids, index.bound, index.changed
     n = ids.shape[1]
-    prefix = np.zeros(n, dtype=np.intp)  # flips before each index
+    # flips before each index, compared only with itself: int32 gives the bins
+    # of intp for fewer than 2**31 flips, and its cumsum of 30k flags took 90
+    # against 210 us (2-core VM, numpy 2.4.6)
+    prefix = np.zeros(n, dtype=np.int32)
     changed.cumsum(out=prefix[1:])
     by_length = lengths.argsort(kind="stable")
     sorted_lengths = lengths[by_length]
@@ -663,13 +700,14 @@ def _occurrences(lengths, at, index: _DirectionIndex) -> tuple[np.ndarray, np.nd
             ranked, found = _sorted_lookup(member_keys)
         counts = np.zeros(2 * len(members) + 2, dtype=np.intp)  # a miss, then (steady, flipped) bins
         total = n - length + 1 if starts is None else int(starts.searchsorted(n - length, side="right"))
+        right, ends = level[lag:], prefix[length - 1 :]  # by window start: its right block, flips before its end
         for first in range(0, total, _CHUNK // 8):
             last = min(first + _CHUNK // 8, total)
             # a slice reads views; the starts gather from the offset views, with no s + lag temporaries
             pos = slice(first, last) if starts is None else starts[first:last]
             window = np.multiply(level[pos], bound[k], dtype=np.int64)
-            window += level[lag:][pos]
-            head, tail = prefix[pos], prefix[length - 1 :][pos]
+            window += right[pos]
+            head, tail = prefix[pos], ends[pos]
             if dense:
                 bins = table[window]
                 bins += tail > head
@@ -751,7 +789,7 @@ def score_direction(
     if len(cause) < 2:
         raise InputError("causal scoring needs sequences of length >= 2")
     dictionary = build_flip_dictionary(cause, effect, direction)
-    rows = _pattern_bytes([seg.data for seg in dictionary.segments], dictionary.index)
+    rows = _pattern_bytes(dictionary._segment_data(), dictionary.index)
     if not len(rows):
         return DirectionalScore(direction, None, cause)
     lengths, starts = rows.T

@@ -101,6 +101,13 @@ MUTANTS = (
         ("tests/test_kernels.py::TestLookupSides",),
     ),
     Mutant(
+        "flip-prefix-int16", "src/dpe/core.py",
+        "prefix = np.zeros(n, dtype=np.int32)",
+        "prefix = np.zeros(n, dtype=np.int16)",
+        "the flip prefix holds every flip of the effect, and a genome-length effect has more than 2**15",
+        ("tests/test_kernels.py::test_counts_past_the_effects_2_to_the_15th_flip",),
+    ),
+    Mutant(
         "start-half-boundary", "src/dpe/core.py",
         "return None if 2 * len(starts) >= len(level) else starts",
         "return None if 2 * len(starts) > len(level) else starts",
@@ -302,6 +309,13 @@ MUTANTS = (
         "hbar_xy = report.score_xy.h_bar + 0 * len(report.deterministic_patterns)",
         "a sweep reads verdicts and h_bar only, so it must build no pattern object",
         ("tests/test_bench.py::TestRunSweep",),
+    ),
+    Mutant(
+        "scoring-reads-segments", "src/dpe/core.py",
+        "rows = _pattern_bytes(dictionary._segment_data(), dictionary.index)",
+        "rows = _pattern_bytes([seg.data for seg in dictionary.segments], dictionary.index)",
+        "scoring reads the flip dictionary's rows, so a sweep builds no segment object",
+        ("tests/test_bench.py::TestRunSweep::test_one_trial_builds_no_segment",),
     ),
     Mutant(
         "independent-count", "src/dpe/bench.py",

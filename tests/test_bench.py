@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import csv
 import io
 import random
@@ -17,7 +18,7 @@ from dpe.bench import (
     run_sweep,
 )
 from dpe.errors import DegenerateSeriesWarning, InputError
-from dpe.seqcore import Direction, align_pair, load_fasta
+from dpe.seqcore import Direction, SymbolSequence, align_pair, load_fasta
 from dpe.synth import TrialSpec
 
 
@@ -33,6 +34,15 @@ def small_spec(**overrides):
     )
     base.update(overrides)
     return TrialSpec(**base)
+
+
+@contextlib.contextmanager
+def segment_spies():
+    """Spies on the two ways a sequence is cut from another, ``fragment`` and ``_of_valid``."""
+    fragment = mock.patch.object(SymbolSequence, "fragment", autospec=True, side_effect=SymbolSequence.fragment)
+    of_valid = mock.patch.object(SymbolSequence, "_of_valid", wraps=SymbolSequence._of_valid)
+    with fragment as fragment, of_valid as of_valid:
+        yield fragment, of_valid
 
 
 class TestRunSweep:
@@ -71,6 +81,25 @@ class TestRunSweep:
             assert not built.called
             cause, effect = (core.SymbolSequence.from_text(t) for t in ("0110100110", "0011010011"))
             assert core.score_direction(cause, effect).pattern_scores and built.called
+
+    def test_one_trial_builds_no_segment(self):
+        # scoring reads the flip dictionary's rows; a dictionary builds its segments when read
+        spec = small_spec(family="ar1", param_name="phi", values=(0.5,), length=300, drop=50, trials=1)
+        trials = []
+
+        def infer(x, y):
+            with segment_spies() as spies:
+                report = core.infer_causal_direction(x, y)
+            trials.append((x, y, [spy.call_count for spy in spies]))
+            return report
+
+        with mock.patch.object(bench, "infer_causal_direction", infer):
+            assert run_sweep(spec, ("dpe",))[0].mean_hbar_xy is not None
+        (x, y, built), = trials
+        assert built == [0, 0]
+        with segment_spies() as spies:
+            assert core.build_flip_dictionary(x, y).segments
+        assert any(spy.called for spy in spies)
 
     def test_unknown_method(self):
         with pytest.raises(InputError):

@@ -20,6 +20,7 @@ direction has more windows than symbols. Both sides of each are checked.
 """
 
 import bisect
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -652,6 +653,67 @@ class TestOneIndexPerDirection:
         bare = core.FlipDictionary(built.direction, built.segments)
         assert built == bare and repr(built) == repr(bare)
         assert repr(built).startswith("FlipDictionary(direction='X->Y', segments=(")
+
+
+# the dictionary's face as a frozen dataclass of its direction and segments
+# gave it, with the index left out: built and bare dictionaries must match it
+FrozenDictionary = dataclasses.make_dataclass(
+    "FlipDictionary",
+    [("direction", str), ("segments", tuple),
+     ("index", object, dataclasses.field(default=None, repr=False, compare=False))],
+    frozen=True,
+)
+
+
+class TestDictionaryFace:
+    """A built dictionary keeps its segments as rows of the source and builds
+    ``segments`` on first read; its value, ``repr``, ``==`` and ``hash`` are
+    those of the frozen dataclass it was, and so are a bare dictionary's. The
+    "no flips" target has no flip that cuts, and so no index."""
+
+    @pytest.mark.parametrize("target", CUT_TARGETS.values(), ids=CUT_TARGETS.keys())
+    def test_built_matches_the_oracle_and_the_dataclass(self, target):
+        source = SymbolSequence.from_text("011010011101001011001101"[: len(target)], 2)
+        built = build_flip_dictionary(source, target, core.LABEL_YX)
+        want = naive_dictionary(source.symbols, target.symbols)
+        assert (built.index is None) == (want == [])
+        frozen = FrozenDictionary(core.LABEL_YX, tuple(SymbolSequence(s, 2) for s in want))
+        assert repr(built) == repr(frozen)  # read before segments
+        assert [s.symbols for s in built.segments] == want and built.segments is built.segments
+        assert hash(built) == hash(frozen)
+        bare = core.FlipDictionary(core.LABEL_YX, frozen.segments)
+        assert bare.index is None and bare.segments is frozen.segments
+        assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
+        assert built != core.FlipDictionary(core.LABEL_XY, frozen.segments)
+        assert built != frozen and frozen != built  # other classes compare unequal, as dataclasses do
+
+    def test_segments_cut_from_the_source_carry_its_alphabet(self):
+        source = SymbolSequence.from_text("0120120210", 5)
+        built = build_flip_dictionary(source, SymbolSequence.from_text("0101010101", 2))
+        assert {s.alphabet_size for s in built.segments} == {5}
+        assert built._segment_data() == [s.data for s in built.segments]
+
+    def test_extracting_two_sequences_keeps_its_output(self):
+        a, b = SymbolSequence.from_text("01101"), SymbolSequence.from_text("00110211101", 3)
+        got = extract_common_subpatterns(a, b)
+        assert [(p.text(), p.alphabet_size) for p in got] == [("0110", 3), ("11", 3), ("1101", 3)]
+
+
+@pytest.mark.parametrize("anchor", (True, False), ids=("anchored", "scan"))
+def test_counts_past_the_effects_2_to_the_15th_flip(anchor):
+    # the flip prefix holds every flip of the effect: an int16 prefix wraps at
+    # the 2**15-th and reads a window that spans it as steady
+    rng = np.random.default_rng(15)
+    cause, effect = (rng.integers(0, 4, 50_000, dtype=np.uint8).tobytes() for _ in range(2))
+    flips = core._changes(effect).nonzero()[0]
+    assert len(flips) > 1 << 15
+    wrap = int(flips[(1 << 15) - 1])  # effect[wrap + 1] != effect[wrap]
+    patterns = list(dict.fromkeys(cause[wrap - back : wrap + 2] for back in (0, 1, 3, 6)))
+    with side(anchor), anchored() as taken:
+        n_occ, n_change = occurrences(cause, effect, patterns)
+    assert taken.called == anchor
+    for p, occ, change in zip(patterns, n_occ.tolist(), n_change.tolist()):
+        assert (change, occ - change) == naive_response(tuple(p), cause, effect)
 
 
 def occurrences(cause: bytes, effect: bytes, patterns: list[bytes]):
