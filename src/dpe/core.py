@@ -64,35 +64,43 @@ class FlipDictionary:
 
     ``segments`` holds them deduplicated, in first-insertion order; ``repr``,
     ``==`` and ``hash`` read it and ``direction`` alone, as a frozen dataclass
-    of the two would. ``index`` covers every block of the source up to the
-    longest segment, so it keys every pattern extracted from the segments, and
-    it places them in the source: a built dictionary keeps segment i as the
-    row (``index.starts[i]``, its length), and builds ``segments`` on first
-    read, as scoring reads only the rows. ``index`` is None when the target
-    has no flip that cuts and when the dictionary is given its segments.
+    of the two would. Every dictionary keeps segment i as the row
+    (``index.starts[i]``, ``_lengths[i]``) of ``index.data``. A built
+    dictionary's data is the source, indexed up to its longest segment, and
+    it builds ``segments`` on first read, as scoring reads only the rows; a
+    dictionary given its segments packs them end to end and indexes them up
+    to the second-longest, the longest a pattern can be. Either way ``index``
+    keys every pattern extracted from the segments; it is None only when
+    there is no segment data.
     """
 
     def __init__(self, direction: str, segments: tuple[SymbolSequence, ...]):
         self.direction, self.index, self._segments = direction, None, segments
+        self._lengths = np.array([len(s) for s in segments], dtype=np.int64)
+        self._alphabet_size = max((s.alphabet_size for s in segments), default=1)
+        data = b"".join(s.data for s in segments)
+        if data:  # indexing past the longest run took a 10 by 30k symbol pair from 6 to 21 ms (2-core VM)
+            top = max([1, *sorted(self._lengths.tolist())[-2:-1]])  # the second-longest; _block_ids needs top >= 1
+            ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), top)
+            self.index = _DirectionIndex(ids, bound, None, data, self._lengths.cumsum() - self._lengths)
 
     @classmethod
     def _of_rows(cls, direction: str, source: SymbolSequence, lengths: np.ndarray, index: _DirectionIndex):
-        built = cls(direction, None)
-        built.index, built._lengths, built._alphabet_size = index, lengths, source.alphabet_size
+        built = cls(direction, ())
+        built._segments, built.index, built._lengths, built._alphabet_size = None, index, lengths, source.alphabet_size
         return built
 
     @property
     def segments(self) -> tuple[SymbolSequence, ...]:
         if self._segments is None:
-            self._segments = tuple(SymbolSequence._of_valid(d, self._alphabet_size) for d in self._segment_data())
+            data, rows = self.index.data, zip(self.index.starts.tolist(), self._lengths.tolist())
+            self._segments = tuple(SymbolSequence._of_valid(data[a : a + n], self._alphabet_size) for a, n in rows)
         return self._segments
 
-    def _segment_data(self) -> list[bytes]:
-        """Each segment's symbols, cut from the source by its row when there is an index."""
-        if self.index is None:
-            return [seg.data for seg in self.segments]
-        data = self.index.data
-        return [data[a : a + n] for a, n in zip(self.index.starts.tolist(), self._lengths.tolist())]
+    def __iter__(self):
+        # extraction's one argument is the dictionary, and the benchmark's tracer
+        # reads len() of each item of it; no __len__, so an empty one stays truthy
+        return iter(self.segments)
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(direction={self.direction!r}, segments={self.segments!r})"
@@ -453,30 +461,21 @@ def _agreement_runs(data: bytes, starts: np.ndarray, lengths: np.ndarray, ids, b
         yield np.concatenate(pending, axis=1)
 
 
-def _pattern_bytes(segment_data: list[bytes], index: _DirectionIndex | None = None) -> np.ndarray:
-    """(length, start) of each distinct common run of the segment pairs, one
-    row per content in first-extraction order.
+def _pattern_bytes(dictionary: FlipDictionary) -> np.ndarray:
+    """(length, start) of each distinct common run of the dictionary's segment
+    pairs, one row per content in first-extraction order.
 
-    The runs are read in ``index.data``, the cause, at the segments'
-    ``index.starts``, and only the lengths of ``segment_data`` are read; with
-    no index, in the packed ``b"".join(segment_data)``, as for
-    ``extract_common_subpatterns``, a dictionary given its segments and a
-    one-argument call. ``start`` places a run in that data. Each batch of runs is merged, by its
+    The runs are read in ``dictionary.index.data``, where the segments lie as
+    rows, and ``start`` places a run there. Each batch of runs is merged, by its
     contents' keys among the data's blocks of their length (``_content_keys``),
     into a table of first occurrences; a stable sort by pair keeps the table
     in extraction order.
     """
-    lengths = np.array([len(s) for s in segment_data], dtype=np.int64)
-    ordered = lengths.copy()
-    ordered.sort()
-    longest = int(ordered[-2]) if len(ordered) > 1 else 0  # of any run
+    lengths = dictionary._lengths
+    longest = max([0, *sorted(lengths.tolist())[-2:-1]])  # of any run: the second-longest segment
     table = np.zeros((4, 0), dtype=np.int64)  # rows: length, key, pair, start
     if longest >= MIN_PATTERN_LEN:
-        if index is None:
-            data = b"".join(segment_data)
-            ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), longest)
-            index = _DirectionIndex(ids, bound, None, data, lengths.cumsum() - lengths)
-        ids, bound, _, data, starts = index
+        ids, bound, _, data, starts = dictionary.index
         for size, pair, start in _agreement_runs(data, starts, lengths, ids, bound):
             keyed = np.array((size, _content_keys(ids, bound, start, size), pair, start))
             table = np.concatenate((table, keyed), axis=1)
@@ -498,11 +497,9 @@ def extract_common_subpatterns(p1: SymbolSequence, p2: SymbolSequence) -> tuple[
 
 def build_pattern_set(dictionary: FlipDictionary) -> PatternSet:
     """Union of common subpatterns over all pairs of distinct dictionary segments."""
-    data = dictionary._segment_data()
-    source = b"".join(data) if dictionary.index is None else dictionary.index.data
-    size = max((seg.alphabet_size for seg in dictionary.segments), default=1)
-    rows = _pattern_bytes(data, dictionary.index).tolist()
-    patterns = tuple(SymbolSequence._of_valid(source[s : s + n], size) for n, s in rows)
+    size = dictionary._alphabet_size
+    rows = _pattern_bytes(dictionary).tolist()  # none without an index
+    patterns = tuple(SymbolSequence._of_valid(dictionary.index.data[s : s + n], size) for n, s in rows)
     return PatternSet(dictionary.direction, patterns)
 
 
@@ -789,7 +786,7 @@ def score_direction(
     if len(cause) < 2:
         raise InputError("causal scoring needs sequences of length >= 2")
     dictionary = build_flip_dictionary(cause, effect, direction)
-    rows = _pattern_bytes(dictionary._segment_data(), dictionary.index)
+    rows = _pattern_bytes(dictionary)
     if not len(rows):
         return DirectionalScore(direction, None, cause)
     lengths, starts = rows.T

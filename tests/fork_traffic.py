@@ -10,8 +10,13 @@ untraced run.
     PYTHONPATH=src python tests/fork_traffic.py             # every workload
     PYTHONPATH=src python tests/fork_traffic.py genomic     # the named ones only
 
-Prints one block of counts per workload. pytest does not collect this file,
-as its name does not start with ``test_``.
+Prints one block of counts per workload. The counts are deterministic, and
+``tests/fork_traffic.txt`` holds those of every workload; CI diffs a fresh
+run against it, so regenerate it when a fork or its traffic changes:
+
+    PYTHONPATH=src python tests/fork_traffic.py > tests/fork_traffic.txt
+
+pytest does not collect this file, as its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ def spies(tally: Counter, shares: list):
     originals = {name: getattr(core, name) for name in (
         "score_direction", "_anchors_pay", "_occurrences", "_anchored_occurrences", "_level_starts",
         "_table_lookup", "_sorted_lookup", "_first_by_content", "_block_ids", "_first_windows",
-        "_pattern_bytes",
     )}
     top_pair, states, advance, lexsort = baselines._top_pair, rng.RngStream._states, rng.RngStream.advance, np.lexsort
     picked = []  # the rule's last pick: True for the anchored side
@@ -118,10 +122,6 @@ def spies(tally: Counter, shares: list):
         tally["extraction windows: change-prefix skip" if skip else "extraction windows: every window"] += 1
         return originals["_first_windows"](*args)
 
-    def pattern_bytes(segment_data, index=None):
-        tally["extraction data: packed copy" if index is None else "extraction data: cause index"] += 1
-        return originals["_pattern_bytes"](segment_data, index)
-
     def counted_top_pair(text, fresh):
         tally["ETC counter: byte" if fresh <= 256 else "ETC counter: sorted"] += 1
         return top_pair(text, fresh)
@@ -142,7 +142,7 @@ def spies(tally: Counter, shares: list):
         "score_direction": score_direction, "_anchors_pay": anchors_pay, "_occurrences": occurrences,
         "_anchored_occurrences": anchored_occurrences, "_level_starts": level_starts,
         "_table_lookup": table_lookup, "_sorted_lookup": sorted_lookup, "_first_by_content": first_by_content,
-        "_block_ids": block_ids, "_first_windows": first_windows, "_pattern_bytes": pattern_bytes,
+        "_block_ids": block_ids, "_first_windows": first_windows,
     }
     patches = [mock.patch.object(core, name, spy) for name, spy in wrapped.items()]
     patches += [

@@ -312,10 +312,17 @@ MUTANTS = (
     ),
     Mutant(
         "scoring-reads-segments", "src/dpe/core.py",
-        "rows = _pattern_bytes(dictionary._segment_data(), dictionary.index)",
-        "rows = _pattern_bytes([seg.data for seg in dictionary.segments], dictionary.index)",
+        "lengths = dictionary._lengths",
+        "lengths = np.array([len(seg) for seg in dictionary.segments], dtype=np.int64)",
         "scoring reads the flip dictionary's rows, so a sweep builds no segment object",
         ("tests/test_bench.py::TestRunSweep::test_one_trial_builds_no_segment",),
+    ),
+    Mutant(
+        "pattern-set-reads-segments", "src/dpe/core.py",
+        "size = dictionary._alphabet_size",
+        "size = max((seg.alphabet_size for seg in dictionary.segments), default=1)",
+        "a pattern set reads the flip dictionary's rows, so it builds a sequence per pattern and none per segment",
+        ("tests/test_kernels.py::TestDictionaryFace::test_pattern_set_builds_no_segment",),
     ),
     Mutant(
         "independent-count", "src/dpe/bench.py",

@@ -83,10 +83,16 @@ def sequence_pairs(draw, max_size=90):
 
 
 def extracted(segments, index=None):
-    """``_pattern_bytes`` as bytes, cut from the data it read: the packed segments
-    without an index, the cause ``index.data`` with one."""
-    data = b"".join(segments) if index is None else index.data
-    return [data[s : s + n] for n, s in core._pattern_bytes(segments, index).tolist()]
+    """``_pattern_bytes`` as bytes, cut from the data it read: that of a dictionary
+    given ``segments``, which packs them, or, given ``index``, of one that holds
+    them as rows of ``index.data``, as a built dictionary holds them in its cause."""
+    if index is None:
+        dictionary = core.FlipDictionary(core.LABEL_XY, tuple(SymbolSequence._of_valid(s, 256) for s in segments))
+    else:
+        lengths = np.array([len(s) for s in segments], dtype=np.int64)
+        source = SymbolSequence._of_valid(index.data, 256)
+        dictionary = core.FlipDictionary._of_rows(core.LABEL_XY, source, lengths, index)
+    return [dictionary.index.data[s : s + n] for n, s in core._pattern_bytes(dictionary).tolist()]
 
 
 def scattered(segments, gaps):
@@ -145,7 +151,10 @@ class TestExtractionOrder:
             assert extracted(list(pair)) == naive_pattern_order(list(pair))
 
     def test_zero_or_one_segment(self):
-        assert core._pattern_bytes([]).shape == core._pattern_bytes([b"\x00\x01\x00"]).shape == (0, 2)
+        one = core.FlipDictionary(core.LABEL_XY, (SymbolSequence(b"\x00\x01\x00", 2),))
+        none = build_flip_dictionary(*[SymbolSequence(b"\x01\x01\x01", 2)] * 2)
+        assert none.index is None and one.index is not None
+        assert core._pattern_bytes(none).shape == core._pattern_bytes(one).shape == (0, 2)
 
     def test_equal_length_and_length_two_segments(self):
         segments = [b"\x01\x01", b"\x00\x00", b"\x01\x01\x00", b"\x00\x01\x01", b"\x00\x00"]
@@ -632,20 +641,20 @@ class TestOneIndexPerDirection:
                 mock.patch.object(core, "_pattern_bytes", wraps=core._pattern_bytes) as extract:
             score_direction(self.X, self.Y, core.LABEL_YX)
         cut.assert_called_once_with(self.X, self.Y, core.LABEL_YX)
-        dictionary = build_flip_dictionary(self.X, self.Y)
-        (segment_data, index), = (c.args for c in extract.call_args_list)
-        assert segment_data == [s.data for s in dictionary.segments]
-        assert index.data == self.X.data and index.starts.tolist() == dictionary.index.starts.tolist()
+        want = build_flip_dictionary(self.X, self.Y, core.LABEL_YX)
+        (given,), = (c.args for c in extract.call_args_list)
+        assert given == want and given.index.data == self.X.data
+        assert given.index.starts.tolist() == want.index.starts.tolist()
 
     def test_tracer_reads_the_pattern_count_and_calls_with_one_argument(self):
-        # the tracer counts patterns as len() of the result and samples its
-        # memory with the segments alone, which packs them
+        # the tracer counts patterns as len() of the result, reads len() of each
+        # item of the one argument, and samples memory with that argument alone
         dictionary = build_flip_dictionary(self.X, self.Y)
-        segment_data = [s.data for s in dictionary.segments]
         want = [s.pattern.data for s in score_direction(self.X, self.Y).pattern_scores]
-        assert len(core._pattern_bytes(segment_data, dictionary.index)) == len(want) > 0
-        assert len(core._pattern_bytes(segment_data)) == len(want)
-        assert extracted(segment_data) == extracted(segment_data, dictionary.index) == want
+        rows = core._pattern_bytes(dictionary).tolist()
+        assert len(rows) == len(want) > 0
+        assert [self.X.data[s : s + n] for n, s in rows] == want
+        assert [len(s) for s in dictionary] == dictionary._lengths.tolist()
 
     def test_index_is_left_out_of_equality_and_repr(self):
         built = build_flip_dictionary(self.X, self.Y)
@@ -667,9 +676,10 @@ FrozenDictionary = dataclasses.make_dataclass(
 
 class TestDictionaryFace:
     """A built dictionary keeps its segments as rows of the source and builds
-    ``segments`` on first read; its value, ``repr``, ``==`` and ``hash`` are
-    those of the frozen dataclass it was, and so are a bare dictionary's. The
-    "no flips" target has no flip that cuts, and so no index."""
+    ``segments`` on first read; a bare one, given its segments, packs them end
+    to end into its index. Their value, ``repr``, ``==`` and ``hash`` are those
+    of the frozen dataclass the dictionary was. The "no flips" target has no
+    flip that cuts, and so no segment data and no index."""
 
     @pytest.mark.parametrize("target", CUT_TARGETS.values(), ids=CUT_TARGETS.keys())
     def test_built_matches_the_oracle_and_the_dataclass(self, target):
@@ -682,7 +692,13 @@ class TestDictionaryFace:
         assert [s.symbols for s in built.segments] == want and built.segments is built.segments
         assert hash(built) == hash(frozen)
         bare = core.FlipDictionary(core.LABEL_YX, frozen.segments)
-        assert bare.index is None and bare.segments is frozen.segments
+        assert bare.segments is frozen.segments and (bare.index is None) == (want == [])
+        if want:  # the bare index holds the segments packed end to end
+            lengths = [len(s) for s in want]
+            assert bare.index.data == b"".join(map(bytes, want)) and bare.index.changed is None
+            assert bare.index.starts.tolist() == [sum(lengths[:i]) for i in range(len(lengths))]
+            longest_pattern = sorted(lengths)[-2] if len(lengths) > 1 else 1
+            assert len(bare.index.ids) == longest_pattern.bit_length()  # no level past it
         assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
         assert built != core.FlipDictionary(core.LABEL_XY, frozen.segments)
         assert built != frozen and frozen != built  # other classes compare unequal, as dataclasses do
@@ -691,12 +707,41 @@ class TestDictionaryFace:
         source = SymbolSequence.from_text("0120120210", 5)
         built = build_flip_dictionary(source, SymbolSequence.from_text("0101010101", 2))
         assert {s.alphabet_size for s in built.segments} == {5}
-        assert built._segment_data() == [s.data for s in built.segments]
+        rows = zip(built.index.starts.tolist(), built._lengths.tolist())
+        assert [s.data for s in built.segments] == [source.data[a : a + n] for a, n in rows]
 
     def test_extracting_two_sequences_keeps_its_output(self):
         a, b = SymbolSequence.from_text("01101"), SymbolSequence.from_text("00110211101", 3)
         got = extract_common_subpatterns(a, b)
         assert [(p.text(), p.alphabet_size) for p in got] == [("0110", 3), ("11", 3), ("1101", 3)]
+
+    @pytest.mark.parametrize("target", CUT_TARGETS.values(), ids=CUT_TARGETS.keys())
+    def test_iterating_yields_the_segments(self, target):
+        # the benchmark's tracer reads len() of each item of extraction's one argument
+        source = SymbolSequence.from_text("011010011101001011001101"[: len(target)], 2)
+        built = build_flip_dictionary(source, target)
+        bare, empty = core.FlipDictionary(built.direction, built.segments), core.FlipDictionary(core.LABEL_XY, ())
+        for dictionary in (built, bare, empty):
+            assert list(dictionary) == list(dictionary.segments)
+        assert empty and not list(empty)  # no __len__, so an empty dictionary stays truthy
+
+    @given(sequence_pairs(), CHUNKS)
+    def test_built_and_bare_dictionaries_extract_alike(self, pair, chunk):
+        # rows in the cause and the same segments packed end to end give one pattern order
+        with mock.patch.object(core, "_CHUNK", chunk):
+            built = build_flip_dictionary(*pair)
+            bare = core.FlipDictionary(built.direction, built.segments)
+            got = [[(p.data, p.alphabet_size) for p in build_pattern_set(d).patterns] for d in (built, bare)]
+        assert got[0] == got[1]
+
+    def test_pattern_set_builds_no_segment(self):
+        # a built dictionary hands extraction its rows, so only the patterns become sequences
+        x, y = TestOneIndexPerDirection.X, TestOneIndexPerDirection.Y
+        built = build_flip_dictionary(x, y)
+        with mock.patch.object(SymbolSequence, "_of_valid", wraps=SymbolSequence._of_valid) as of_valid:
+            patterns = build_pattern_set(built).patterns
+        assert of_valid.call_count == len(patterns) > 0 and len(built._lengths) > 0
+        assert [p.data for p in patterns] == [s.pattern.data for s in score_direction(x, y).pattern_scores]
 
 
 @pytest.mark.parametrize("anchor", (True, False), ids=("anchored", "scan"))
@@ -854,7 +899,7 @@ class TestAnchoredCounting:
             assert len(set(patterns)) == len(patterns) and len(set(packed)) == len(packed)
             if not patterns:
                 return
-            lengths, starts = core._pattern_bytes(segments, dictionary.index).T
+            lengths, starts = core._pattern_bytes(dictionary).T
             counts = []
             for anchor in (True, False):
                 with side(anchor), anchored() as taken:
@@ -1402,7 +1447,7 @@ def test_anchored_candidates_meet_the_work_bound():
     # of 40 lengths
     cause, effect = sweep_sparse_direction()
     dictionary = build_flip_dictionary(cause, effect)
-    lengths, starts = core._pattern_bytes([s.data for s in dictionary.segments], dictionary.index).T
+    lengths, starts = core._pattern_bytes(dictionary).T
     with keyed_windows() as content_keys, anchored() as taken:
         core._occurrences(lengths, starts, dictionary.index)
     assert taken.called
