@@ -64,30 +64,25 @@ class FlipDictionary:
 
     ``segments`` holds them deduplicated, in first-insertion order; ``repr``,
     ``==`` and ``hash`` read it and ``direction`` alone, as a frozen dataclass
-    of the two would. Every dictionary keeps segment i as the row
-    (``index.starts[i]``, ``_lengths[i]``) of ``index.data``. A built
-    dictionary's data is the source, indexed up to its longest segment, and
-    it builds ``segments`` on first read, as scoring reads only the rows; a
-    dictionary given its segments packs them end to end and indexes them up
-    to the second-longest, the longest a pattern can be. Either way ``index``
-    keys every pattern extracted from the segments; it is None only when
-    there is no segment data.
+    of the two would. Segment i is the row (``index.starts[i]``, ``_lengths[i]``)
+    of ``index.data``: the source, for a built dictionary, which builds
+    ``segments`` on first read, or the given segments packed end to end.
+    ``index`` holds the data's block ids up to the second-longest segment cut
+    or given (``_reach_ids``); it is None only when there is no segment data.
     """
 
     def __init__(self, direction: str, segments: tuple[SymbolSequence, ...]):
-        self.direction, self.index, self._segments = direction, None, segments
-        self._lengths = np.array([len(s) for s in segments], dtype=np.int64)
+        self.direction, self._segments = direction, segments
+        self._lengths = sizes = np.array([len(s) for s in segments], dtype=np.int64)
         self._alphabet_size = max((s.alphabet_size for s in segments), default=1)
         data = b"".join(s.data for s in segments)
-        if data:  # indexing past the longest run took a 10 by 30k symbol pair from 6 to 21 ms (2-core VM)
-            top = max([1, *sorted(self._lengths.tolist())[-2:-1]])  # the second-longest; _block_ids needs top >= 1
-            ids, bound = _block_ids(np.frombuffer(data, dtype=np.uint8), top)
-            self.index = _DirectionIndex(ids, bound, None, data, self._lengths.cumsum() - self._lengths)
+        self.index = _DirectionIndex(*_reach_ids(data, sizes), None, data, sizes.cumsum() - sizes) if data else None
 
     @classmethod
     def _of_rows(cls, direction: str, source: SymbolSequence, lengths: np.ndarray, index: _DirectionIndex):
-        built = cls(direction, ())
-        built._segments, built.index, built._lengths, built._alphabet_size = None, index, lengths, source.alphabet_size
+        built = cls.__new__(cls)
+        built.direction, built.index, built._segments = direction, index, None
+        built._lengths, built._alphabet_size = lengths, source.alphabet_size
         return built
 
     @property
@@ -226,6 +221,14 @@ def _block_ids(arr: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.array(bound, dtype=np.int64)
 
 
+def _reach_ids(data: bytes, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_block_ids`` of ``data``, segments of ``lengths``, up to the second-longest, the longest run two share."""
+    # up to the longest, scoring segments of 11, 10 and 100k symbols took 140 against 24 ms (2-core VM)
+    i = int(lengths.argmax())  # the longest; the second-longest is the longest of the others, at least 1
+    top = max(np.maximum.reduce(lengths[:i], initial=1), np.maximum.reduce(lengths[i + 1 :], initial=1))
+    return _block_ids(np.frombuffer(data, dtype=np.uint8), int(top))
+
+
 def _changes(seq: bytes) -> np.ndarray:
     """Whether each symbol of ``seq`` after the first differs from the one before."""
     arr = np.frombuffer(seq, dtype=np.uint8)
@@ -307,8 +310,9 @@ def build_flip_dictionary(
         return FlipDictionary(direction, ())
     starts = np.concatenate(([0], stops[:-1]))  # each segment starts where the one before stops
     lengths = np.subtract(stops, starts, out=stops)  # the stops are not read again
-    ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(np.maximum.reduce(lengths)))
-    keep = _first_by_content(lengths, _content_keys(ids, bound, starts, lengths))
+    ids, bound = _reach_ids(source.data, lengths)  # past them: the longest, unique in length, keyed by a prefix
+    keyed = np.minimum(lengths, (1 << len(ids)) - 1) if np.maximum.reduce(lengths) >> len(ids) else lengths
+    keep = _first_by_content(lengths, _content_keys(ids, bound, starts, keyed))
     index = _DirectionIndex(ids, bound, changed, source.data, starts[keep])  # the starts still ascend
     return FlipDictionary._of_rows(direction, source, lengths[keep], index)
 
@@ -472,9 +476,8 @@ def _pattern_bytes(dictionary: FlipDictionary) -> np.ndarray:
     in extraction order.
     """
     lengths = dictionary._lengths
-    longest = max([0, *sorted(lengths.tolist())[-2:-1]])  # of any run: the second-longest segment
     table = np.zeros((4, 0), dtype=np.int64)  # rows: length, key, pair, start
-    if longest >= MIN_PATTERN_LEN:
+    if dictionary.index is not None and len(lengths) > 1:  # _row_plan yields no row below width 2
         ids, bound, _, data, starts = dictionary.index
         for size, pair, start in _agreement_runs(data, starts, lengths, ids, bound):
             keyed = np.array((size, _content_keys(ids, bound, start, size), pair, start))

@@ -87,6 +87,26 @@ MUTANTS = (
         ("tests/test_kernels.py::TestFlipCut", "tests/test_kernels.py::TestDictionaryOrder"),
     ),
     Mutant(
+        "built-index-to-the-longest", "src/dpe/core.py",
+        "ids, bound = _reach_ids(source.data, lengths)",
+        "ids, bound = _block_ids(np.frombuffer(source.data, dtype=np.uint8), int(np.maximum.reduce(lengths)))",
+        "no pattern outgrows the second-longest segment, so a built index stops there, as a given one does",
+        (
+            "tests/test_kernels.py::TestDictionaryFace::test_built_index_reaches_the_second_longest_cut_segment",
+            "tests/test_kernels.py::test_one_long_segment_index_meets_the_work_bound",
+        ),
+    ),
+    Mutant(
+        "longest-segment-key-unclipped", "src/dpe/core.py",
+        "keyed = np.minimum(lengths, (1 << len(ids)) - 1) if np.maximum.reduce(lengths) >> len(ids) else lengths",
+        "keyed = lengths",
+        "a segment longer than the index reaches is keyed by the prefix the index covers",
+        (
+            "tests/test_kernels.py::TestDictionaryFace::test_a_longest_segment_past_the_index_is_kept_in_order",
+            "tests/test_kernels.py::TestDictionaryFace::test_one_long_segment_matches_the_oracles",
+        ),
+    ),
+    Mutant(
         "counting-table-kept", "src/dpe/core.py",
         "table[member_keys] = 0",
         "pass",

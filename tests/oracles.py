@@ -39,16 +39,24 @@ def naive_count(pattern, symbols):
     return sum(1 for i in range(n - m + 1) if tuple(symbols[i : i + m]) == tuple(pattern))
 
 
-def naive_dictionary(source, target):
-    """Ordered unique segments of the source ending at flips of the target."""
+def naive_cuts(target):
+    """1-based, inclusive (start, stop) of each segment cut at the flips of the target, before any dedupe."""
     out = []
     start = 1  # 1-based
     for k in naive_flips(target):
         if k - start + 1 >= 2:
-            seg = tuple(source[start - 1 : k])
-            if seg not in out:
-                out.append(seg)
+            out.append((start, k))
             start = k + 1
+    return out
+
+
+def naive_dictionary(source, target):
+    """Ordered unique segments of the source ending at flips of the target."""
+    out = []
+    for start, stop in naive_cuts(target):
+        seg = tuple(source[start - 1 : stop])
+        if seg not in out:
+            out.append(seg)
     return out
 
 

@@ -36,6 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from oracles import (
     find_response,
     naive_count,
+    naive_cuts,
     naive_dictionary,
     naive_pattern_order,
     naive_response,
@@ -664,6 +665,15 @@ class TestOneIndexPerDirection:
         assert repr(built).startswith("FlipDictionary(direction='X->Y', segments=(")
 
 
+def one_long_segment(n):
+    """n uniform binary symbols and an effect of 10 zeros, 10 ones, zeros and a last
+    flip: it cuts segments of 11, 10 and n - 21 symbols, the last far longer than
+    any pattern, a run that two segments share."""
+    rng = random.Random(n)
+    cause = bytes(rng.randrange(2) for _ in range(n))
+    return SymbolSequence(cause, 2), SymbolSequence(bytes(10) + b"\1" * 10 + bytes(n - 21) + b"\1", 2)
+
+
 # the dictionary's face as a frozen dataclass of its direction and segments
 # gave it, with the index left out: built and bare dictionaries must match it
 FrozenDictionary = dataclasses.make_dataclass(
@@ -733,6 +743,42 @@ class TestDictionaryFace:
             bare = core.FlipDictionary(built.direction, built.segments)
             got = [[(p.data, p.alphabet_size) for p in build_pattern_set(d).patterns] for d in (built, bare)]
         assert got[0] == got[1]
+
+    @given(sequence_pairs())
+    @example(pair=(SymbolSequence(bytes(30), 2), flips_at(30, {10, 20, 29})))  # 11, 10 and 9 symbols
+    @example(pair=(SymbolSequence(bytes(90), 2), flips_at(90, {10, 20, 89})))  # 11, 10 and 69 symbols
+    def test_built_index_reaches_the_second_longest_cut_segment(self, pair):
+        # a pattern is a run two segments share, so the built index stops at the
+        # second-longest segment the target cuts, duplicates included, and holds a
+        # level even when the target cuts one segment
+        source, target = pair
+        built = build_flip_dictionary(source, target)
+        cut = sorted(stop - start + 1 for start, stop in naive_cuts(target.symbols))
+        assert (built.index is None) == (cut == [])
+        if cut:
+            assert len(built.index.ids) == max([1, *cut[-2:-1]]).bit_length()
+
+    @pytest.mark.parametrize("lengths", ([3, 2, 6], [6, 2, 3], [2, 3, 2, 9]), ids=str)
+    def test_a_longest_segment_past_the_index_is_kept_in_order(self, lengths):
+        # the longest segment's key reads only its prefix of (1 << levels) - 1 symbols,
+        # here those of a shorter segment, yet it is alone at its length and kept
+        pieces = {2: (0, 0), 3: (0, 1, 1), 6: (0, 1, 1, 0, 1, 0), 9: (0, 1, 1, 1, 0, 0, 1, 0, 1)}
+        source = SymbolSequence(sum((pieces[n] for n in lengths), ()), 2)
+        target = flips_at(sum(lengths), {end - 1 for end in itertools.accumulate(lengths)})
+        built = build_flip_dictionary(source, target)
+        assert [stop - start + 1 for start, stop in naive_cuts(target.symbols)] == lengths
+        assert max(lengths) >= 1 << len(built.index.ids)
+        assert [s.symbols for s in built.segments] == naive_dictionary(source.symbols, target.symbols)
+
+    def test_one_long_segment_matches_the_oracles(self):
+        cause, effect = one_long_segment(200)
+        segments = naive_dictionary(cause.symbols, effect.symbols)
+        assert [len(s) for s in segments] == [11, 10, 179]
+        assert [s.symbols for s in build_flip_dictionary(cause, effect).segments] == segments
+        score = score_direction(cause, effect)
+        assert [s.pattern.symbols for s in score.pattern_scores] == naive_pattern_order(segments)
+        for s in score.pattern_scores:
+            assert (s.n_change, s.n_nochange) == naive_response(s.pattern.symbols, cause.symbols, effect.symbols)
 
     def test_pattern_set_builds_no_segment(self):
         # a built dictionary hands extraction its rows, so only the patterns become sequences
@@ -1459,6 +1505,17 @@ def test_anchored_candidates_meet_the_work_bound():
     assert (checked, changing, changes) == (bound, patterns_keyed, 50) == (1_124, 23, 50)
     assert checked <= changing * changes
     assert sum(len(cause) - n + 1 for n in set(lengths.tolist())) == 77_434
+
+
+def test_one_long_segment_index_meets_the_work_bound():
+    # segments of 11, 10 and 29,979 symbols: the index stops at the second-longest,
+    # 4 levels, where one to the longest held 15, 5 of them ranked (a stable argsort
+    # each); scoring builds it once
+    cause, effect = one_long_segment(30_000)
+    with mock.patch.object(core, "_block_ids", wraps=core._block_ids) as block_ids:
+        score = score_direction(cause, effect)
+    assert score.has_evidence and block_ids.call_count == 1 and block_ids.call_args.args[1] == 11
+    assert build_flip_dictionary(cause, effect).index.ids.shape == (4, 30_000)
 
 
 def genome_pair(n, rate, seed):
