@@ -311,7 +311,7 @@ def build_flip_dictionary(
     starts = np.concatenate(([0], stops[:-1]))  # each segment starts where the one before stops
     lengths = np.subtract(stops, starts, out=stops)  # the stops are not read again
     ids, bound = _reach_ids(source.data, lengths)  # past them: the longest, unique in length, keyed by a prefix
-    keyed = np.minimum(lengths, (1 << len(ids)) - 1) if np.maximum.reduce(lengths) >> len(ids) else lengths
+    keyed = np.minimum(lengths, (1 << len(ids)) - 1)
     keep = _first_by_content(lengths, _content_keys(ids, bound, starts, keyed))
     index = _DirectionIndex(ids, bound, changed, source.data, starts[keep])  # the starts still ascend
     return FlipDictionary._of_rows(direction, source, lengths[keep], index)
@@ -477,7 +477,7 @@ def _pattern_bytes(dictionary: FlipDictionary) -> np.ndarray:
     """
     lengths = dictionary._lengths
     table = np.zeros((4, 0), dtype=np.int64)  # rows: length, key, pair, start
-    if dictionary.index is not None and len(lengths) > 1:  # _row_plan yields no row below width 2
+    if dictionary.index is not None and len(lengths) > 1:  # a run is shared by a pair of segments
         ids, bound, _, data, starts = dictionary.index
         for size, pair, start in _agreement_runs(data, starts, lengths, ids, bound):
             keyed = np.array((size, _content_keys(ids, bound, start, size), pair, start))

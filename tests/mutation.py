@@ -98,7 +98,7 @@ MUTANTS = (
     ),
     Mutant(
         "longest-segment-key-unclipped", "src/dpe/core.py",
-        "keyed = np.minimum(lengths, (1 << len(ids)) - 1) if np.maximum.reduce(lengths) >> len(ids) else lengths",
+        "keyed = np.minimum(lengths, (1 << len(ids)) - 1)",
         "keyed = lengths",
         "a segment longer than the index reaches is keyed by the prefix the index covers",
         (
